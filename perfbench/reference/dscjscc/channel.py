@@ -1,0 +1,116 @@
+"""Differentiable noisy-channel simulation.
+
+Noise power sigma2 is per complex symbol (sigma2/2 per real component), so an
+AWGN draw adds circularly symmetric complex Gaussian noise of total power
+sigma2 to each symbol.  All Gaussian sampling goes through a Box-Muller
+transform of PCG64 uniforms so a fixed seed replays bitwise.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+
+def sigma_from_snr(snr_db: float, power: float = 1.0) -> float:
+    """Noise power per complex symbol for a given SNR in dB."""
+    if power <= 0.0:
+        raise ValueError(f"transmit power must be positive, got {power}")
+    return power * 10.0 ** (-snr_db / 10.0)
+
+
+def snr_from_sigma(sigma2: float, power: float = 1.0) -> float:
+    if sigma2 <= 0.0:
+        return math.inf
+    return 10.0 * math.log10(power / sigma2)
+
+
+@dataclass
+class ChannelConfig:
+    """Transmit power, noise power, and their dB bookkeeping.
+
+    Exactly one of sigma2 / snr_db may be given; the other is derived.
+    sigma2 == 0 is the explicit noiseless mode.
+    """
+
+    power: float = 1.0
+    sigma2: float | None = None
+    snr_db: float | None = None
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.power <= 0.0:
+            raise ValueError(f"transmit power must be positive, got {self.power}")
+        if self.sigma2 is None and self.snr_db is None:
+            raise ValueError("channel config needs sigma2 or snr_db")
+        if self.sigma2 is None:
+            self.sigma2 = sigma_from_snr(self.snr_db, self.power)
+        elif self.snr_db is None:
+            self.snr_db = snr_from_sigma(self.sigma2, self.power)
+        else:
+            derived = sigma_from_snr(self.snr_db, self.power)
+            if not math.isclose(derived, self.sigma2, rel_tol=1e-9):
+                raise ValueError(f"sigma2={self.sigma2} and snr_db={self.snr_db} disagree "
+                                 f"(snr implies sigma2={derived})")
+        if self.sigma2 < 0.0:
+            raise ValueError(f"noise power must be non-negative, got {self.sigma2}")
+
+
+def _standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Box-Muller: pairs of PCG64 uniforms -> standard normals."""
+    m = (count + 1) // 2
+    u1 = 1.0 - rng.random(m)  # (0, 1], keeps log finite
+    u2 = rng.random(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    return np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:count]
+
+
+def complex_normals(rng: np.random.Generator, shape: tuple[int, ...], variance: float) -> np.ndarray:
+    """Circularly symmetric complex Gaussians with the given per-symbol variance."""
+    count = int(np.prod(shape))
+    reals = _standard_normals(rng, 2 * count) * math.sqrt(variance / 2.0)
+    return (reals[:count] + 1j * reals[count:]).reshape(shape)
+
+
+class AwgnChannel:
+    """AWGN channel owning its own PRNG stream; one instance per worker."""
+
+    def __init__(self, config: ChannelConfig):
+        self.config = config
+        self._rng = np.random.default_rng(config.seed)
+
+    def transmit(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z)
+        if self.config.sigma2 == 0.0:
+            return z.copy()
+        return z + complex_normals(self._rng, z.shape, self.config.sigma2)
+
+    def noise_block(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Interleaved real/imag noise for a real-valued (N, 2k) symbol block."""
+        if self.config.sigma2 == 0.0:
+            return np.zeros(shape)
+        count = int(np.prod(shape))
+        return (_standard_normals(self._rng, count)
+                * math.sqrt(self.config.sigma2 / 2.0)).reshape(shape)
+
+
+def awgn(z: np.ndarray, config: ChannelConfig) -> np.ndarray:
+    """One noisy transmission; the draw is a pure function of (z.shape, config)."""
+    return AwgnChannel(config).transmit(z)
+
+
+def rayleigh_slow_fading(z: np.ndarray, config: ChannelConfig) -> np.ndarray:
+    """h*z + n with a single h ~ CN(0,1) per transmitted vector.
+
+    For a 2-D input each row is its own transmission and gets its own h.
+    """
+    z = np.asarray(z)
+    rng = np.random.default_rng(config.seed)
+    rows = 1 if z.ndim == 1 else z.shape[0]
+    h = complex_normals(rng, (rows,), 1.0)
+    faded = z * h[0] if z.ndim == 1 else z * h[:, None]
+    if config.sigma2 == 0.0:
+        return faded
+    return faded + complex_normals(rng, z.shape, config.sigma2)

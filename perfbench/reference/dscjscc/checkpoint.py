@@ -1,0 +1,136 @@
+"""Binary checkpoints: "DSCJ" magic, versioned JSON header, f32 tensor blocks.
+
+Layout (all integers little-endian u32):
+
+    b"DSCJ" | version | header_len | header JSON (utf-8)
+    then per tensor: name_len | name | rank | dims... | float32 data
+
+Parameters are stored as 32-bit reals; loading widens back to float64.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from .model import (Activation, ArchitectureSpec, CodecModel, LayerKind, LayerSpec,
+                    VariantId)
+
+MAGIC = b"DSCJ"
+FORMAT_VERSION = 1
+
+
+class CheckpointError(ValueError):
+    pass
+
+
+def _layer_to_dict(spec: LayerSpec) -> dict:
+    return {
+        "kind": spec.kind.value,
+        "in_channels": spec.in_channels,
+        "out_channels": spec.out_channels,
+        "kernel": spec.kernel,
+        "stride": spec.stride,
+        "padding": spec.padding,
+        "output_padding": spec.output_padding,
+        "activation": spec.activation.value,
+    }
+
+
+def _layer_from_dict(d: dict) -> LayerSpec:
+    return LayerSpec(
+        kind=LayerKind(d["kind"]),
+        in_channels=d["in_channels"],
+        out_channels=d["out_channels"],
+        kernel=d["kernel"],
+        stride=d["stride"],
+        padding=d["padding"],
+        output_padding=d["output_padding"],
+        activation=Activation(d["activation"]),
+    )
+
+
+def save_checkpoint(model: CodecModel, path: str | Path) -> None:
+    arch = model.architecture
+    header = {
+        "architecture": {
+            "encoder": [_layer_to_dict(s) for s in arch.encoder],
+            "decoder": [_layer_to_dict(s) for s in arch.decoder],
+            "input_shape": list(arch.input_shape),
+            "channel_count": arch.channel_count,
+            "latent_dims": list(arch.latent_dims),
+        },
+        "variant": model.variant.value if model.variant is not None else None,
+        "rho": f"{arch.rho.numerator}/{arch.rho.denominator}",
+        "c": arch.channel_count,
+        "power": model.power,
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    out = bytearray()
+    out += MAGIC
+    out += struct.pack("<I", FORMAT_VERSION)
+    out += struct.pack("<I", len(blob))
+    out += blob
+    for name, tensor in model.params.items():
+        encoded = name.encode("utf-8")
+        out += struct.pack("<I", len(encoded))
+        out += encoded
+        arr = tensor.data
+        out += struct.pack("<I", arr.ndim)
+        for dim in arr.shape:
+            out += struct.pack("<I", dim)
+        out += arr.astype("<f4").tobytes()
+    Path(path).write_bytes(bytes(out))
+
+
+def load_checkpoint(path: str | Path) -> CodecModel:
+    data = Path(path).read_bytes()
+    if data[:4] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
+    pos = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise CheckpointError(f"{path}: truncated at byte {pos}")
+        chunk = data[pos:pos + n]
+        pos += n
+        return chunk
+
+    version = struct.unpack("<I", take(4))[0]
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: format version {version} unsupported "
+                              f"(expected {FORMAT_VERSION})")
+    header_len = struct.unpack("<I", take(4))[0]
+    try:
+        header = json.loads(take(header_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: unreadable header: {e}") from e
+
+    adict = header["architecture"]
+    arch = ArchitectureSpec(
+        encoder=tuple(_layer_from_dict(d) for d in adict["encoder"]),
+        decoder=tuple(_layer_from_dict(d) for d in adict["decoder"]),
+        input_shape=tuple(adict["input_shape"]),
+        channel_count=adict["channel_count"],
+        latent_dims=tuple(adict["latent_dims"]),
+    )
+    rho = Fraction(header["rho"])
+    if rho != arch.rho:
+        raise CheckpointError(f"{path}: header rho {rho} disagrees with architecture ({arch.rho})")
+    variant = VariantId(header["variant"]) if header["variant"] is not None else None
+
+    params: dict[str, np.ndarray] = {}
+    while pos < len(data):
+        name_len = struct.unpack("<I", take(4))[0]
+        name = take(name_len).decode("utf-8")
+        rank = struct.unpack("<I", take(4))[0]
+        dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
+        count = int(np.prod(dims)) if dims else 1
+        arr = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
+        params[name] = arr.astype(np.float64)
+    return CodecModel(arch, variant=variant, power=header["power"], params=params)

@@ -1,0 +1,114 @@
+"""Dataset handling: binary PPM loading, center cropping, synthetic images.
+
+Images are stored as float64 (L, C, H, W) arrays holding 8-bit values in
+[0, 255].  Only binary "P6" PPM files with maxval 255 are accepted; anything
+else should be converted upstream.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+
+class DatasetError(ValueError):
+    pass
+
+
+@dataclass
+class Dataset:
+    images: np.ndarray  # (L, C, H, W), values in [0, 255]
+    split: str = "train"
+
+    def __post_init__(self) -> None:
+        if self.images.ndim != 4 or self.images.shape[0] < 1:
+            raise DatasetError(f"dataset needs a non-empty (L, C, H, W) array, got {self.images.shape}")
+
+    def __len__(self) -> int:
+        return int(self.images.shape[0])
+
+
+def _read_ppm(path: Path) -> np.ndarray:
+    """Parse a binary PPM (P6, maxval 255) into (3, H, W) float64."""
+    data = path.read_bytes()
+    # header: magic, width, height, maxval separated by whitespace/comments
+    fields: list[bytes] = []
+    pos = 0
+    while len(fields) < 4:
+        while pos < len(data) and data[pos:pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos:pos + 1] == b"#":
+            while pos < len(data) and data[pos:pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise DatasetError(f"{path}: truncated PPM header")
+        fields.append(data[start:pos])
+    pos += 1  # single whitespace byte after maxval
+    magic, width, height, maxval = fields
+    if magic != b"P6":
+        raise DatasetError(f"{path}: expected binary PPM magic P6, got {magic!r}")
+    w, h, mv = int(width), int(height), int(maxval)
+    if mv != 255:
+        raise DatasetError(f"{path}: only maxval 255 supported, got {mv}")
+    raw = data[pos:pos + 3 * w * h]
+    if len(raw) != 3 * w * h:
+        raise DatasetError(f"{path}: pixel payload has {len(raw)} bytes, expected {3 * w * h}")
+    img = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+    return img.transpose(2, 0, 1).astype(np.float64)
+
+
+def center_crop(image: np.ndarray, size: int) -> np.ndarray:
+    """Crop (C, H, W) to size x size around the center; offsets floor((dim-size)/2)."""
+    _, h, w = image.shape
+    if h < size or w < size:
+        raise DatasetError(f"image {h}x{w} smaller than crop size {size}")
+    top = (h - size) // 2
+    left = (w - size) // 2
+    return image[:, top:top + size, left:left + size]
+
+
+def load_dataset(path: str | Path, crop: int | None = None, split: str = "train") -> Dataset:
+    """Load every .ppm under a directory, ordered lexicographically by filename."""
+    root = Path(path)
+    if not root.is_dir():
+        raise DatasetError(f"dataset path {root} is not a directory")
+    files = sorted(p for p in root.iterdir() if p.suffix.lower() == ".ppm")
+    if not files:
+        raise DatasetError(f"no .ppm files found under {root}")
+    images = []
+    problems = []
+    for f in files:
+        try:
+            img = _read_ppm(f)
+            if crop is not None:
+                img = center_crop(img, crop)
+            images.append(img)
+        except DatasetError as e:
+            problems.append(str(e))
+    if problems:
+        raise DatasetError("unreadable or incompatible files:\n" + "\n".join(problems))
+    shapes = {img.shape for img in images}
+    if len(shapes) != 1:
+        raise DatasetError(f"images disagree on shape: {sorted(shapes)}; pass a crop size")
+    return Dataset(np.stack(images), split=split)
+
+
+def synthetic_dataset(count: int, size: int, seed: int = 0, split: str = "train") -> Dataset:
+    """Smooth gradients plus mild noise: enough structure to learn at desk scale."""
+    rng = np.random.default_rng(seed)
+    ys, xs = np.meshgrid(np.linspace(0.0, 1.0, size), np.linspace(0.0, 1.0, size), indexing="ij")
+    images = np.empty((count, 3, size, size))
+    for i in range(count):
+        for c in range(3):
+            a, b, offs = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 1)
+            freq = rng.uniform(0.5, 2.0)
+            base = 0.5 + 0.35 * np.sin(2.0 * np.pi * freq * (a * xs + b * ys) + offs * 2 * np.pi)
+            noise = rng.normal(0.0, 0.03, size=(size, size))
+            images[i, c] = np.clip(base + noise, 0.0, 1.0) * 255.0
+    return Dataset(images, split=split)

@@ -1,0 +1,90 @@
+"""Reconstruction-quality metrics and the SNR sweep evaluator."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .channel import AwgnChannel, ChannelConfig
+from .data import Dataset
+from .kernels import ShapeError
+from .model import CodecModel
+
+PSNR_CAP_DB = 100.0  # sentinel for identical images
+
+
+def mse_loss(x: np.ndarray, xhat: np.ndarray) -> float:
+    """Batch-mean of per-sample squared-error sums (the training objective's raw form)."""
+    x, xhat = np.asarray(x, dtype=np.float64), np.asarray(xhat, dtype=np.float64)
+    if x.shape != xhat.shape:
+        raise ShapeError(f"mse_loss: shape mismatch {x.shape} vs {xhat.shape}")
+    batch = x.shape[0]
+    return float(np.sum((x - xhat) ** 2) / batch)
+
+
+def mse_pixel_mean(x: np.ndarray, xhat: np.ndarray) -> float:
+    """Mean squared error over every element; what training actually minimizes."""
+    x, xhat = np.asarray(x, dtype=np.float64), np.asarray(xhat, dtype=np.float64)
+    if x.shape != xhat.shape:
+        raise ShapeError(f"mse: shape mismatch {x.shape} vs {xhat.shape}")
+    return float(np.mean((x - xhat) ** 2))
+
+
+def psnr(x: np.ndarray, xhat: np.ndarray, peak: float = 255.0, cap: float = PSNR_CAP_DB) -> float:
+    """10*log10(peak^2 / per-pixel MSE); identical inputs hit the cap."""
+    mse = mse_pixel_mean(x, xhat)
+    if mse == 0.0:
+        return cap
+    return min(cap, 10.0 * math.log10(peak * peak / mse))
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    snr_db: float
+    mean_psnr_db: float
+    std_psnr_db: float
+    n_images: int
+    n_draws: int
+
+
+def evaluate_sweep(model: CodecModel, data: Dataset, snr_list: list[float],
+                   draws_per_image: int = 1, seed: int = 0,
+                   power: float | None = None) -> list[SweepRow]:
+    """Mean/std PSNR per SNR point, averaged over images and noise draws.
+
+    Each (snr, image) pair gets its own channel PRNG stream derived from the
+    master seed, so results are independent of evaluation order.
+    """
+    if not snr_list:
+        raise ValueError("evaluate_sweep: snr_list must not be empty")
+    power = model.power if power is None else power
+    rows = []
+    for si, snr_db in enumerate(snr_list):
+        values = []
+        for ii in range(len(data)):
+            image = data.images[ii:ii + 1]
+            z = model.encode(image)
+            cfg = ChannelConfig(power=power, snr_db=snr_db,
+                                seed=_stream_seed(seed, si, ii))
+            ch = AwgnChannel(cfg)
+            for _ in range(draws_per_image):
+                xhat = model.decode(ch.transmit(z))
+                values.append(psnr(image, xhat))
+        arr = np.asarray(values)
+        rows.append(SweepRow(snr_db, float(arr.mean()), float(arr.std()),
+                             len(data), draws_per_image))
+    return rows
+
+
+def _stream_seed(master: int, snr_index: int, image_index: int) -> int:
+    ss = np.random.SeedSequence([master, snr_index, image_index])
+    return int(ss.generate_state(1)[0])
+
+
+def sweep_to_csv(rows: list[SweepRow]) -> str:
+    lines = ["snr_db,mean_psnr_db,std_psnr_db,n_images,n_draws"]
+    for r in rows:
+        lines.append(f"{r.snr_db:g},{r.mean_psnr_db:.6f},{r.std_psnr_db:.6f},{r.n_images},{r.n_draws}")
+    return "\n".join(lines) + "\n"

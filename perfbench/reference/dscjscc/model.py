@@ -1,0 +1,446 @@
+"""Codec architecture description, variant builder, and end-to-end forward pass.
+
+The base network is a 5-layer convolutional encoder mirrored by a 5-layer
+transposed-convolutional decoder.  Variants selectively swap standard layers
+for their depthwise-separable counterparts, leaving every other hyperparameter
+untouched.  The encoder output is reshaped into interleaved complex symbols
+and rescaled to a fixed average transmit power before hitting the channel.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+
+import numpy as np
+
+from . import autodiff as ad
+from .autodiff import Tensor
+from .kernels import ShapeError, conv_out_dim, tconv_out_dim
+
+
+class LayerKind(Enum):
+    CONV = "Conv"
+    DSCONV = "DSConv"
+    TCONV = "TConv"
+    DSTCONV = "DSTConv"
+
+    @property
+    def is_transposed(self) -> bool:
+        return self in (LayerKind.TCONV, LayerKind.DSTCONV)
+
+    @property
+    def is_separable(self) -> bool:
+        return self in (LayerKind.DSCONV, LayerKind.DSTCONV)
+
+
+class Activation(Enum):
+    PRELU = "prelu"
+    SIGMOID = "sigmoid"
+    NONE = "none"
+
+
+ENCODER_KINDS = (LayerKind.CONV, LayerKind.DSCONV)
+DECODER_KINDS = (LayerKind.TCONV, LayerKind.DSTCONV)
+
+
+@dataclass(frozen=True)
+class LayerSpec:
+    kind: LayerKind
+    in_channels: int
+    out_channels: int
+    kernel: int
+    stride: int
+    padding: int
+    output_padding: int | None = None
+    activation: Activation = Activation.PRELU
+
+    def __post_init__(self) -> None:
+        if self.in_channels < 1 or self.out_channels < 1 or self.kernel < 1:
+            raise ShapeError(f"layer spec requires positive channel/kernel sizes, got {self}")
+        if self.kind.is_transposed and self.output_padding is None:
+            raise ShapeError(f"{self.kind.value} layer requires output_padding")
+        if not self.kind.is_transposed and self.output_padding is not None:
+            raise ShapeError(f"{self.kind.value} layer must not carry output_padding")
+
+    def out_dim(self, size: int) -> int:
+        if self.kind.is_transposed:
+            return tconv_out_dim(size, self.kernel, self.stride, self.padding, self.output_padding)
+        return conv_out_dim(size, self.kernel, self.stride, self.padding)
+
+
+@dataclass(frozen=True)
+class ArchitectureSpec:
+    """Five encoder layers, five decoder layers, and the derived latent geometry.
+
+    input_shape is (W, H, C); latent_dims is (H_bar, W_bar).
+    """
+
+    encoder: tuple[LayerSpec, ...]
+    decoder: tuple[LayerSpec, ...]
+    input_shape: tuple[int, int, int]
+    channel_count: int
+    latent_dims: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        if len(self.encoder) != 5 or len(self.decoder) != 5:
+            raise ShapeError(f"architecture must have 5+5 layers, got {len(self.encoder)}+{len(self.decoder)}")
+        for layer in self.encoder:
+            if layer.kind not in ENCODER_KINDS:
+                raise ShapeError(f"encoder layer kind {layer.kind.value} invalid")
+        for layer in self.decoder:
+            if layer.kind not in DECODER_KINDS:
+                raise ShapeError(f"decoder layer kind {layer.kind.value} invalid")
+        w, h, c = self.input_shape
+        if self.encoder[-1].out_channels != self.channel_count:
+            raise ShapeError("encoder output channels != channel_count")
+        if self.decoder[0].in_channels != self.channel_count:
+            raise ShapeError("decoder input channels != channel_count")
+        hh, ww = h, w
+        for layer in self.encoder:
+            hh, ww = layer.out_dim(hh), layer.out_dim(ww)
+        if (hh, ww) != self.latent_dims:
+            raise ShapeError(f"encoder maps {h}x{w} to {hh}x{ww}, expected latent {self.latent_dims}")
+        for layer in self.decoder:
+            hh, ww = layer.out_dim(hh), layer.out_dim(ww)
+        if (hh, ww) != (h, w):
+            raise ShapeError(f"decoder maps latent back to {hh}x{ww}, expected {h}x{w}")
+        if (self.channel_count * self.latent_dims[0] * self.latent_dims[1]) % 2 != 0:
+            raise ShapeError("latent element count must be even to pair into complex symbols")
+
+    @property
+    def n(self) -> int:
+        w, h, c = self.input_shape
+        return w * h * c
+
+    @property
+    def k(self) -> int:
+        return self.channel_count * self.latent_dims[0] * self.latent_dims[1] // 2
+
+    @property
+    def rho(self) -> Fraction:
+        return Fraction(self.k, self.n)
+
+
+class VariantId(Enum):
+    BASELINE = "baseline"
+    R20 = "dsc-jscc-20"
+    R40 = "dsc-jscc-40"
+    R60_E1D1 = "dsc-jscc-60-e1d1"
+    R60_E2D1 = "dsc-jscc-60-e2d1"
+    R60_E2D2 = "dsc-jscc-60-e2d2"
+    R60_E2D3 = "dsc-jscc-60-e2d3"
+    R60_E1D2 = "dsc-jscc-60-e1d2"
+    R60_E3D2 = "dsc-jscc-60-e3d2"
+    R80 = "dsc-jscc-80"
+    R100 = "dsc-jscc-100"
+
+    @classmethod
+    def from_name(cls, name: str) -> "VariantId":
+        for v in cls:
+            if v.value == name:
+                return v
+        raise ValueError(f"unknown variant {name!r}; expected one of "
+                         + ", ".join(v.value for v in cls))
+
+
+# Which encoder/decoder layers are separable in each variant, as 5-char masks
+# (D = separable, C = standard).
+VARIANT_PATTERNS: dict[VariantId, tuple[str, str]] = {
+    VariantId.BASELINE: ("CCCCC", "CCCCC"),
+    VariantId.R20: ("DCCCC", "DCCCC"),
+    VariantId.R40: ("DDCCC", "DDCCC"),
+    VariantId.R60_E1D1: ("DDDCC", "DDDCC"),
+    VariantId.R60_E2D1: ("CDDDC", "DDDCC"),
+    VariantId.R60_E2D2: ("CDDDC", "CDDDC"),
+    VariantId.R60_E2D3: ("CDDDC", "CCDDD"),
+    VariantId.R60_E1D2: ("DDDCC", "CDDDC"),
+    VariantId.R60_E3D2: ("CCDDD", "CDDDC"),
+    VariantId.R80: ("DDDDC", "DDDDC"),
+    VariantId.R100: ("DDDDD", "DDDDD"),
+}
+
+# Listing order mirrors the complexity table: baseline, ratio sweep up to 60,
+# position sweep, then the high ratios.
+VARIANT_ORDER = (
+    VariantId.BASELINE, VariantId.R20, VariantId.R40, VariantId.R60_E1D1,
+    VariantId.R60_E2D1, VariantId.R60_E2D2, VariantId.R60_E2D3,
+    VariantId.R60_E1D2, VariantId.R60_E3D2, VariantId.R80, VariantId.R100,
+)
+
+
+def default_base_architecture(input_shape: tuple[int, int, int] = (256, 256, 3),
+                              channel_count: int = 8) -> ArchitectureSpec:
+    """All-standard 5+5 architecture: kernel 5, strides 2,2,1,1,1 mirrored.
+
+    Spatial dims shrink by 4x into the latent, so width and height must be
+    multiples of 4 for the decoder to land back on the input shape exactly.
+    """
+    w, h, c = input_shape
+    if w < 4 or h < 4 or c < 1:
+        raise ShapeError(f"input shape {input_shape} too small for the 5+5 codec")
+    if w % 4 != 0 or h % 4 != 0:
+        raise ShapeError(f"input spatial dims must be multiples of 4 to round-trip, got {w}x{h}")
+    hbar, wbar = h // 4, w // 4
+    if (channel_count * hbar * wbar) % 2 != 0:
+        raise ShapeError(f"channel_count {channel_count} at latent {hbar}x{wbar} gives an odd symbol count")
+    k = 5
+    enc_filters = (16, 32, 32, 32, channel_count)
+    enc_strides = (2, 2, 1, 1, 1)
+    dec_filters = (32, 32, 32, 16, c)
+    dec_strides = (1, 1, 1, 2, 2)
+    enc_layers = []
+    cin = c
+    for cout, s in zip(enc_filters, enc_strides):
+        enc_layers.append(LayerSpec(LayerKind.CONV, cin, cout, k, s, 2,
+                                    activation=Activation.PRELU))
+        cin = cout
+    dec_layers = []
+    for i, (cout, s) in enumerate(zip(dec_filters, dec_strides)):
+        act = Activation.SIGMOID if i == 4 else Activation.PRELU
+        dec_layers.append(LayerSpec(LayerKind.TCONV, cin, cout, k, s, 2,
+                                    output_padding=s - 1, activation=act))
+        cin = cout
+    return ArchitectureSpec(tuple(enc_layers), tuple(dec_layers), input_shape,
+                            channel_count, (hbar, wbar))
+
+
+def build_variant(variant: VariantId, base: ArchitectureSpec) -> ArchitectureSpec:
+    """Rewrite layer kinds per the variant pattern; everything else is untouched."""
+    if variant not in VARIANT_PATTERNS:
+        raise ValueError(f"unknown variant {variant!r}")
+    for layer in base.encoder:
+        if layer.kind is not LayerKind.CONV:
+            raise ShapeError("build_variant requires an all-standard base architecture")
+    for layer in base.decoder:
+        if layer.kind is not LayerKind.TCONV:
+            raise ShapeError("build_variant requires an all-standard base architecture")
+    enc_mask, dec_mask = VARIANT_PATTERNS[variant]
+
+    def rewrite(layer: LayerSpec, sep: bool, transposed: bool) -> LayerSpec:
+        if not sep:
+            return layer
+        kind = LayerKind.DSTCONV if transposed else LayerKind.DSCONV
+        return LayerSpec(kind, layer.in_channels, layer.out_channels, layer.kernel,
+                         layer.stride, layer.padding, layer.output_padding, layer.activation)
+
+    enc = tuple(rewrite(l, m == "D", False) for l, m in zip(base.encoder, enc_mask))
+    dec = tuple(rewrite(l, m == "D", True) for l, m in zip(base.decoder, dec_mask))
+    return ArchitectureSpec(enc, dec, base.input_shape, base.channel_count, base.latent_dims)
+
+
+def build_variant_architecture(variant: VariantId,
+                               input_shape: tuple[int, int, int] = (256, 256, 3),
+                               channel_count: int = 8) -> ArchitectureSpec:
+    return build_variant(variant, default_base_architecture(input_shape, channel_count))
+
+
+# ---------------------------------------------------------------------------
+# pixel and symbol plumbing
+# ---------------------------------------------------------------------------
+
+def normalize_pixels(image: np.ndarray) -> np.ndarray:
+    image = np.asarray(image, dtype=np.float64)
+    if image.size and (image.min() < 0.0 or image.max() > 255.0):
+        raise ValueError(f"pixel values must lie in [0, 255], got range "
+                         f"[{image.min():.3f}, {image.max():.3f}]")
+    return image / 255.0
+
+
+def denormalize_pixels(image: np.ndarray) -> np.ndarray:
+    image = np.asarray(image, dtype=np.float64)
+    if image.size and (image.min() < 0.0 or image.max() > 1.0):
+        raise ValueError(f"normalized pixels must lie in [0, 1], got range "
+                         f"[{image.min():.3f}, {image.max():.3f}]")
+    return image * 255.0
+
+
+def reshape_to_complex(feature: np.ndarray) -> np.ndarray:
+    """Pair consecutive row-major scalars of an (N, c, H, W) map into (N, k) complex."""
+    if feature.ndim != 4:
+        raise ShapeError(f"reshape_to_complex: expected rank-4 feature map, got rank {feature.ndim}")
+    n = feature.shape[0]
+    flat = feature.reshape(n, -1)
+    if flat.shape[1] % 2 != 0:
+        raise ShapeError(f"reshape_to_complex: element count {flat.shape[1]} per item is odd")
+    return flat[:, 0::2] + 1j * flat[:, 1::2]
+
+
+def complex_to_feature(z: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """Inverse of reshape_to_complex back onto a (N,) + shape feature map."""
+    c, h, w = shape
+    n = z.shape[0]
+    if z.shape[1] * 2 != c * h * w:
+        raise ShapeError(f"complex vector length {z.shape[1]} does not fill a {c}x{h}x{w} map")
+    flat = np.empty((n, c * h * w), dtype=np.float64)
+    flat[:, 0::2] = z.real
+    flat[:, 1::2] = z.imag
+    return flat.reshape(n, c, h, w)
+
+
+def power_normalize(z: np.ndarray, k: int, power: float) -> np.ndarray:
+    """Rescale a complex vector (or batch of rows) to squared norm k*power."""
+    z = np.asarray(z)
+    single = z.ndim == 1
+    zb = z[None, :] if single else z
+    norms = np.sqrt(np.sum(np.abs(zb) ** 2, axis=1, keepdims=True))
+    if np.any(norms == 0.0):
+        raise ValueError("power_normalize: zero-norm input has no direction to preserve")
+    out = zb * (math.sqrt(k * power) / norms)
+    return out[0] if single else out
+
+
+# ---------------------------------------------------------------------------
+# parameter initialisation and the codec itself
+# ---------------------------------------------------------------------------
+
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Create the named parameter arrays for one layer, in a fixed order."""
+    k = spec.kernel
+    cin, cout = spec.in_channels, spec.out_channels
+    params: dict[str, np.ndarray] = {}
+    if spec.kind is LayerKind.CONV:
+        params["weight"] = _glorot(rng, (cout, cin, k, k), cin * k * k, cout * k * k)
+        params["bias"] = np.zeros(cout)
+    elif spec.kind is LayerKind.TCONV:
+        params["weight"] = _glorot(rng, (cin, cout, k, k), cin * k * k, cout * k * k)
+        params["bias"] = np.zeros(cout)
+    else:
+        params["dw_weight"] = _glorot(rng, (cin, 1, k, k), k * k, k * k)
+        params["dw_bias"] = np.zeros(cin)
+        params["pw_weight"] = _glorot(rng, (cout, cin, 1, 1), cin, cout)
+        params["pw_bias"] = np.zeros(cout)
+    if spec.activation is Activation.PRELU:
+        params["prelu"] = np.full(cout, 0.25)
+    return params
+
+
+def _apply_layer(x: Tensor, spec: LayerSpec, params: dict[str, Tensor]) -> Tensor:
+    if spec.kind is LayerKind.CONV:
+        x = ad.conv2d(x, params["weight"], params["bias"], spec.stride, spec.padding)
+    elif spec.kind is LayerKind.TCONV:
+        x = ad.tconv2d(x, params["weight"], params["bias"], spec.stride, spec.padding,
+                       spec.output_padding)
+    elif spec.kind is LayerKind.DSCONV:
+        x = ad.depthwise_conv2d(x, params["dw_weight"], params["dw_bias"],
+                                spec.stride, spec.padding)
+        x = ad.pointwise_conv2d(x, params["pw_weight"], params["pw_bias"])
+    else:
+        x = ad.depthwise_tconv2d(x, params["dw_weight"], params["dw_bias"],
+                                 spec.stride, spec.padding, spec.output_padding)
+        x = ad.pointwise_conv2d(x, params["pw_weight"], params["pw_bias"])
+    if spec.activation is Activation.PRELU:
+        x = ad.prelu(x, params["prelu"])
+    elif spec.activation is Activation.SIGMOID:
+        x = ad.sigmoid(x)
+    return x
+
+
+class CodecModel:
+    """A built codec: architecture plus instantiated parameters.
+
+    Parameters live as autodiff Tensors keyed "enc{i}.{name}" / "dec{i}.{name}"
+    in a deterministic order, all drawn from one seeded generator.
+    """
+
+    def __init__(self, architecture: ArchitectureSpec, variant: VariantId | None = None,
+                 power: float = 1.0, seed: int = 0,
+                 params: dict[str, np.ndarray] | None = None):
+        self.architecture = architecture
+        self.variant = variant
+        self.power = float(power)
+        self.seed = seed
+        self.params: dict[str, Tensor] = {}
+        rng = np.random.default_rng(seed)
+        for side, layers in (("enc", architecture.encoder), ("dec", architecture.decoder)):
+            for i, spec in enumerate(layers):
+                fresh = init_layer_params(spec, rng)
+                for name, arr in fresh.items():
+                    key = f"{side}{i}.{name}"
+                    if params is not None:
+                        if key not in params:
+                            raise ShapeError(f"checkpoint missing parameter {key}")
+                        if params[key].shape != arr.shape:
+                            raise ShapeError(f"parameter {key} has shape {params[key].shape}, "
+                                             f"expected {arr.shape}")
+                        arr = np.asarray(params[key], dtype=np.float64)
+                    self.params[key] = Tensor(arr, requires_grad=True)
+        if params is not None and len(params) != len(self.params):
+            extra = set(params) - set(self.params)
+            raise ShapeError(f"checkpoint carries unknown parameters: {sorted(extra)}")
+
+    # -- bandwidth bookkeeping -------------------------------------------
+    @property
+    def n(self) -> int:
+        return self.architecture.n
+
+    @property
+    def k(self) -> int:
+        return self.architecture.k
+
+    @property
+    def rho(self) -> Fraction:
+        return self.architecture.rho
+
+    def num_parameters(self) -> int:
+        return sum(t.data.size for t in self.params.values())
+
+    def _layer_params(self, side: str, i: int) -> dict[str, Tensor]:
+        prefix = f"{side}{i}."
+        return {k[len(prefix):]: t for k, t in self.params.items() if k.startswith(prefix)}
+
+    # -- graph-building pieces (used by training) ------------------------
+    def encode_graph(self, x_raw: Tensor) -> Tensor:
+        """Raw [0,255] images -> power-normalized (N, 2k) interleaved symbols."""
+        w, h, c = self.architecture.input_shape
+        if x_raw.data.ndim != 4 or x_raw.data.shape[1:] != (c, h, w):
+            raise ShapeError(f"encode: input shape {x_raw.data.shape} does not match "
+                             f"architecture (N,{c},{h},{w})")
+        x = ad.scale(x_raw, 1.0 / 255.0)
+        for i, spec in enumerate(self.architecture.encoder):
+            x = _apply_layer(x, spec, self._layer_params("enc", i))
+        flat = ad.reshape(x, (x.data.shape[0], 2 * self.k))
+        return ad.power_normalize(flat, self.k, self.power)
+
+    def decode_graph(self, symbols: Tensor) -> Tensor:
+        """(N, 2k) interleaved symbols -> reconstructed images in [0, 1]."""
+        if symbols.data.ndim != 2 or symbols.data.shape[1] != 2 * self.k:
+            raise ShapeError(f"decode: symbol block shape {symbols.data.shape} != (N, {2 * self.k})")
+        hbar, wbar = self.architecture.latent_dims
+        x = ad.reshape(symbols, (symbols.data.shape[0], self.architecture.channel_count, hbar, wbar))
+        for i, spec in enumerate(self.architecture.decoder):
+            x = _apply_layer(x, spec, self._layer_params("dec", i))
+        return x
+
+    # -- public ndarray surface ------------------------------------------
+    def encode(self, image: np.ndarray) -> np.ndarray:
+        """Images in [0,255] -> complex symbol vectors of length k per item."""
+        image = np.asarray(image, dtype=np.float64)
+        single = image.ndim == 3
+        if single:
+            image = image[None]
+        normalize_pixels(image)  # range check
+        flat = self.encode_graph(Tensor(image)).data
+        z = flat[:, 0::2] + 1j * flat[:, 1::2]
+        return z[0] if single else z
+
+    def decode(self, z: np.ndarray) -> np.ndarray:
+        """Complex symbol vectors -> reconstructed images in [0, 255]."""
+        z = np.asarray(z)
+        single = z.ndim == 1
+        zb = z[None, :] if single else z
+        if zb.shape[1] != self.k:
+            raise ShapeError(f"decode: expected {self.k} symbols per item, got {zb.shape[1]}")
+        flat = np.empty((zb.shape[0], 2 * self.k), dtype=np.float64)
+        flat[:, 0::2] = zb.real
+        flat[:, 1::2] = zb.imag
+        x01 = self.decode_graph(Tensor(flat)).data
+        out = denormalize_pixels(x01)
+        return out[0] if single else out
