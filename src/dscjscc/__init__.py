@@ -6,26 +6,26 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .complexity import (ComplexityReport, layer_flops, layer_params, model_complexity,
                          oracle_param_count, reduction_report)
 from .data import Dataset, DatasetError, center_crop, load_dataset, synthetic_dataset
-from .kernels import ConvKernel, ShapeError
+from .kernels import ShapeError
 from .metrics import evaluate_sweep, mse_loss, mse_pixel_mean, psnr
 from .model import (Activation, ArchitectureSpec, CodecModel, LayerKind, LayerSpec,
                     VariantId, build_variant, build_variant_architecture,
                     default_base_architecture, denormalize_pixels, normalize_pixels,
-                    power_normalize, reshape_to_complex)
+                    reshape_to_complex)
 from .training import Adam, TrainConfig, TrainResult, TrainingError, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Activation", "Adam", "ArchitectureSpec", "AutodiffError", "AwgnChannel",
-    "ChannelConfig", "CheckpointError", "CodecModel", "ComplexityReport", "ConvKernel",
+    "ChannelConfig", "CheckpointError", "CodecModel", "ComplexityReport",
     "Dataset", "DatasetError", "FiniteDiffReport", "LayerKind", "LayerSpec",
     "ShapeError", "Tensor", "TrainConfig", "TrainResult", "TrainingError", "VariantId",
     "awgn", "build_variant", "build_variant_architecture", "center_crop",
     "default_base_architecture", "denormalize_pixels", "evaluate_sweep",
     "finite_diff_check", "gradcheck", "layer_flops", "layer_params", "load_checkpoint",
     "load_dataset", "model_complexity", "mse_loss", "mse_pixel_mean",
-    "normalize_pixels", "oracle_param_count", "power_normalize", "psnr",
+    "normalize_pixels", "oracle_param_count", "psnr",
     "rayleigh_slow_fading", "reduction_report", "reshape_to_complex", "save_checkpoint",
     "sigma_from_snr", "synthetic_dataset", "train",
 ]

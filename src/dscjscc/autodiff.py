@@ -88,10 +88,26 @@ class Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...],
-          backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+          vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> Tensor:
+    """Graph node whose backward sends ``vjp(gy)[i]``, one gradient per parent, to ``parents[i]``."""
     req = any(p.requires_grad for p in parents)
+
+    def backward(gy: np.ndarray) -> None:
+        for p, g in zip(parents, vjp(gy)):
+            if p.requires_grad:
+                p._accumulate(g)
+
     return Tensor(data, requires_grad=req, parents=parents,
-                  backward_fn=backward_fn if req else None)
+                  backward_fn=backward if req else None)
+
+
+def _conv_parents(x: Tensor, w: Tensor, b: Tensor | None) -> tuple[Tensor, ...]:
+    # a missing bias drops out of the parents, and zip() then drops its gradient
+    return (x, w) if b is None else (x, w, b)
+
+
+def _data(b: Tensor | None) -> np.ndarray | None:
+    return None if b is None else b.data
 
 
 # ---------------------------------------------------------------------------
@@ -99,36 +115,15 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int) -> Tensor:
-    y, col = kernels.conv2d_forward_cached(x.data, w.data, None if b is None else b.data,
-                                           stride, padding)
-    parents = (x, w) if b is None else (x, w, b)
-
-    def backward(gy: np.ndarray) -> None:
-        gx, gw, gb = kernels.conv2d_backward(x.data, w.data, gy, stride, padding, col=col)
-        if x.requires_grad:
-            x._accumulate(gx)
-        if w.requires_grad:
-            w._accumulate(gw)
-        if b is not None and b.requires_grad:
-            b._accumulate(gb)
-
-    return _node(y, parents, backward)
+    y, col = kernels.conv2d_forward_cached(x.data, w.data, _data(b), stride, padding)
+    return _node(y, _conv_parents(x, w, b),
+                 lambda gy: kernels.conv2d_backward(x.data, w.data, gy, stride, padding, col=col))
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int) -> Tensor:
-    y = kernels.depthwise_conv2d_forward(x.data, w.data, None if b is None else b.data, stride, padding)
-    parents = (x, w) if b is None else (x, w, b)
-
-    def backward(gy: np.ndarray) -> None:
-        gx, gw, gb = kernels.depthwise_conv2d_backward(x.data, w.data, gy, stride, padding)
-        if x.requires_grad:
-            x._accumulate(gx)
-        if w.requires_grad:
-            w._accumulate(gw)
-        if b is not None and b.requires_grad:
-            b._accumulate(gb)
-
-    return _node(y, parents, backward)
+    y = kernels.depthwise_conv2d_forward(x.data, w.data, _data(b), stride, padding)
+    return _node(y, _conv_parents(x, w, b),
+                 lambda gy: kernels.depthwise_conv2d_backward(x.data, w.data, gy, stride, padding))
 
 
 def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
@@ -139,89 +134,43 @@ def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
 def tconv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
             output_padding: int) -> Tensor:
-    y = kernels.tconv2d_forward(x.data, w.data, None if b is None else b.data,
-                                stride, padding, output_padding)
-    parents = (x, w) if b is None else (x, w, b)
-
-    def backward(gy: np.ndarray) -> None:
-        gx, gw, gb = kernels.tconv2d_backward(x.data, w.data, gy, stride, padding, output_padding)
-        if x.requires_grad:
-            x._accumulate(gx)
-        if w.requires_grad:
-            w._accumulate(gw)
-        if b is not None and b.requires_grad:
-            b._accumulate(gb)
-
-    return _node(y, parents, backward)
+    y = kernels.tconv2d_forward(x.data, w.data, _data(b), stride, padding, output_padding)
+    return _node(y, _conv_parents(x, w, b),
+                 lambda gy: kernels.tconv2d_backward(x.data, w.data, gy, stride, padding, output_padding))
 
 
 def depthwise_tconv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
                       output_padding: int) -> Tensor:
-    y = kernels.depthwise_tconv2d_forward(x.data, w.data, None if b is None else b.data,
-                                          stride, padding, output_padding)
-    parents = (x, w) if b is None else (x, w, b)
-
-    def backward(gy: np.ndarray) -> None:
-        gx, gw, gb = kernels.depthwise_tconv2d_backward(x.data, w.data, gy, stride, padding, output_padding)
-        if x.requires_grad:
-            x._accumulate(gx)
-        if w.requires_grad:
-            w._accumulate(gw)
-        if b is not None and b.requires_grad:
-            b._accumulate(gb)
-
-    return _node(y, parents, backward)
+    y = kernels.depthwise_tconv2d_forward(x.data, w.data, _data(b), stride, padding, output_padding)
+    return _node(y, _conv_parents(x, w, b),
+                 lambda gy: kernels.depthwise_tconv2d_backward(x.data, w.data, gy, stride, padding,
+                                                               output_padding))
 
 
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     y = kernels.prelu_forward(x.data, slopes.data)
-
-    def backward(gy: np.ndarray) -> None:
-        gx, gs = kernels.prelu_backward(x.data, slopes.data, gy)
-        if x.requires_grad:
-            x._accumulate(gx)
-        if slopes.requires_grad:
-            slopes._accumulate(gs)
-
-    return _node(y, (x, slopes), backward)
+    return _node(y, (x, slopes), lambda gy: kernels.prelu_backward(x.data, slopes.data, gy))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     y = kernels.sigmoid_forward(x.data)
-
-    def backward(gy: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(kernels.sigmoid_backward(y, gy))
-
-    return _node(y, (x,), backward)
+    return _node(y, (x,), lambda gy: (kernels.sigmoid_backward(y, gy),))
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    def backward(gy: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(c * gy)
-
-    return _node(x.data * c, (x,), backward)
+def scale(x: Tensor, c: float | np.ndarray) -> Tensor:
+    """Multiply by a constant scalar or same-shape array."""
+    return _node(x.data * c, (x,), lambda gy: (c * gy,))
 
 
 def add_constant(x: Tensor, c: np.ndarray) -> Tensor:
     """Add a constant array (e.g. a channel-noise realisation); gradient passes through."""
     if c.shape != x.data.shape:
         raise ShapeError(f"add_constant: constant shape {c.shape} != tensor shape {x.data.shape}")
-
-    def backward(gy: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(gy)
-
-    return _node(x.data + c, (x,), backward)
+    return _node(x.data + c, (x,), lambda gy: (gy,))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def backward(gy: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(gy.reshape(x.data.shape))
-
-    return _node(x.data.reshape(shape), (x,), backward)
+    return _node(x.data.reshape(shape), (x,), lambda gy: (gy.reshape(x.data.shape),))
 
 
 def power_normalize(x: Tensor, k: int, power: float) -> Tensor:
@@ -238,14 +187,12 @@ def power_normalize(x: Tensor, k: int, power: float) -> Tensor:
     target = math.sqrt(k * power)
     y = x.data * (target / norms)
 
-    def backward(gy: np.ndarray) -> None:
-        if x.requires_grad:
-            # d/du [t*u/|u|] = t/|u| * (I - u u^T / |u|^2), applied per row
-            dots = np.sum(x.data * gy, axis=1, keepdims=True)
-            gx = (target / norms) * (gy - x.data * (dots / norms ** 2))
-            x._accumulate(gx)
+    def vjp(gy: np.ndarray) -> tuple[np.ndarray]:
+        # d/du [t*u/|u|] = t/|u| * (I - u u^T / |u|^2), applied per row
+        dots = np.sum(x.data * gy, axis=1, keepdims=True)
+        return ((target / norms) * (gy - x.data * (dots / norms ** 2)),)
 
-    return _node(y, (x,), backward)
+    return _node(y, (x,), vjp)
 
 
 def mse_mean(a: Tensor, b: Tensor) -> Tensor:
@@ -255,22 +202,15 @@ def mse_mean(a: Tensor, b: Tensor) -> Tensor:
     diff = a.data - b.data
     val = np.array(np.mean(diff ** 2))
 
-    def backward(gy: np.ndarray) -> None:
+    def vjp(gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = (2.0 / diff.size) * diff * gy
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
+        return g, -g
 
-    return _node(val, (a, b), backward)
+    return _node(val, (a, b), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    def backward(gy: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.data, float(gy)))
-
-    return _node(np.array(x.data.sum()), (x,), backward)
+    return _node(np.array(x.data.sum()), (x,), lambda gy: (np.full_like(x.data, float(gy)),))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +266,13 @@ def gradcheck(build: Callable[[dict[str, Tensor]], Tensor],
     return errors
 
 
+def _weighted(out: Callable[[dict[str, Tensor]], Tensor], inputs: dict[str, np.ndarray],
+              rng: np.random.Generator) -> tuple[Callable[[dict[str, Tensor]], Tensor], dict[str, np.ndarray]]:
+    # weight the output sum randomly so the full Jacobian is exercised
+    r = rng.standard_normal(out({k: Tensor(v) for k, v in inputs.items()}).shape)
+    return (lambda t: sum_all(scale(out(t), r))), inputs
+
+
 def _trial_config(op: str, rng: np.random.Generator) -> tuple[Callable[[dict[str, Tensor]], Tensor], dict[str, np.ndarray]]:
     n = int(rng.integers(1, 3))
     c = int(rng.integers(1, 4))
@@ -334,78 +281,56 @@ def _trial_config(op: str, rng: np.random.Generator) -> tuple[Callable[[dict[str
     stride = int(rng.integers(1, 3))
     padding = int(rng.integers(0, k))
     x = rng.standard_normal((n, c, h, h))
-    # weight the output sum randomly so the full Jacobian is exercised
     if op == "conv2d":
         cout = int(rng.integers(1, 4))
         w = rng.standard_normal((cout, c, k, k)) * 0.5
         b = rng.standard_normal(cout) * 0.1
-        ho = kernels.conv_out_dim(h, k, stride, padding)
-        r = rng.standard_normal((n, cout, ho, ho))
-        return (lambda t: sum_all(_mul_const(conv2d(t["x"], t["w"], t["b"], stride, padding), r)),
-                {"x": x, "w": w, "b": b})
+        return _weighted(lambda t: conv2d(t["x"], t["w"], t["b"], stride, padding),
+                         {"x": x, "w": w, "b": b}, rng)
     if op == "depthwise_conv2d":
         w = rng.standard_normal((c, 1, k, k)) * 0.5
         b = rng.standard_normal(c) * 0.1
-        ho = kernels.conv_out_dim(h, k, stride, padding)
-        r = rng.standard_normal((n, c, ho, ho))
-        return (lambda t: sum_all(_mul_const(depthwise_conv2d(t["x"], t["w"], t["b"], stride, padding), r)),
-                {"x": x, "w": w, "b": b})
+        return _weighted(lambda t: depthwise_conv2d(t["x"], t["w"], t["b"], stride, padding),
+                         {"x": x, "w": w, "b": b}, rng)
     if op == "pointwise_conv2d":
         cout = int(rng.integers(1, 4))
         w = rng.standard_normal((cout, c, 1, 1)) * 0.5
         b = rng.standard_normal(cout) * 0.1
-        r = rng.standard_normal((n, cout, h, h))
-        return (lambda t: sum_all(_mul_const(pointwise_conv2d(t["x"], t["w"], t["b"]), r)),
-                {"x": x, "w": w, "b": b})
+        return _weighted(lambda t: pointwise_conv2d(t["x"], t["w"], t["b"]), {"x": x, "w": w, "b": b}, rng)
     if op == "tconv2d":
         cout = int(rng.integers(1, 4))
         op_pad = int(rng.integers(0, stride))
         w = rng.standard_normal((c, cout, k, k)) * 0.5
         b = rng.standard_normal(cout) * 0.1
-        ho = kernels.tconv_out_dim(h, k, stride, padding, op_pad)
-        if ho < 1:
+        if kernels.tconv_out_dim(h, k, stride, padding, op_pad) < 1:
             return _trial_config(op, rng)
-        r = rng.standard_normal((n, cout, ho, ho))
-        return (lambda t: sum_all(_mul_const(tconv2d(t["x"], t["w"], t["b"], stride, padding, op_pad), r)),
-                {"x": x, "w": w, "b": b})
+        return _weighted(lambda t: tconv2d(t["x"], t["w"], t["b"], stride, padding, op_pad),
+                         {"x": x, "w": w, "b": b}, rng)
     if op == "depthwise_tconv2d":
         op_pad = int(rng.integers(0, stride))
         w = rng.standard_normal((c, 1, k, k)) * 0.5
         b = rng.standard_normal(c) * 0.1
-        ho = kernels.tconv_out_dim(h, k, stride, padding, op_pad)
-        if ho < 1:
+        if kernels.tconv_out_dim(h, k, stride, padding, op_pad) < 1:
             return _trial_config(op, rng)
-        r = rng.standard_normal((n, c, ho, ho))
-        return (lambda t: sum_all(_mul_const(depthwise_tconv2d(t["x"], t["w"], t["b"], stride, padding, op_pad), r)),
-                {"x": x, "w": w, "b": b})
+        return _weighted(lambda t: depthwise_tconv2d(t["x"], t["w"], t["b"], stride, padding, op_pad),
+                         {"x": x, "w": w, "b": b}, rng)
     if op == "prelu":
         # keep samples away from the kink at 0
         xa = x + np.sign(x) * 0.05
         xa[np.abs(xa) < 1e-3] = 0.1
         slopes = rng.uniform(0.1, 0.5, size=c)
-        r = rng.standard_normal(xa.shape)
-        return (lambda t: sum_all(_mul_const(prelu(t["x"], t["s"]), r)), {"x": xa, "s": slopes})
+        return _weighted(lambda t: prelu(t["x"], t["s"]), {"x": xa, "s": slopes}, rng)
     if op == "sigmoid":
-        r = rng.standard_normal(x.shape)
-        return (lambda t: sum_all(_mul_const(sigmoid(t["x"]), r)), {"x": x})
+        return _weighted(lambda t: sigmoid(t["x"]), {"x": x}, rng)
     if op == "power_normalize":
         m = 2 * int(rng.integers(2, 6))
         z = rng.standard_normal((n, m)) + 0.1
         kk, p = m // 2, float(rng.uniform(0.5, 2.0))
-        r = rng.standard_normal(z.shape)
-        return (lambda t: sum_all(_mul_const(power_normalize(t["z"], kk, p), r)), {"z": z})
+        return _weighted(lambda t: power_normalize(t["z"], kk, p), {"z": z}, rng)
     if op == "mse_mean":
         y = rng.standard_normal(x.shape)
         return (lambda t: mse_mean(t["a"], t["b"]), {"a": x, "b": y})
     raise ValueError(f"finite_diff_check: unknown primitive {op!r}")
-
-
-def _mul_const(x: Tensor, c: np.ndarray) -> Tensor:
-    def backward(gy: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(c * gy)
-
-    return _node(x.data * c, (x,), backward)
 
 
 DIFFERENTIABLE_OPS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "tconv2d",

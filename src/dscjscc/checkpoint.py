@@ -41,16 +41,36 @@ def _layer_to_dict(spec: LayerSpec) -> dict:
     }
 
 
-def _layer_from_dict(d: dict) -> LayerSpec:
+def _field(obj, key: str, kind: type | tuple[type, ...], where: str):
+    """``obj[key]``; a missing or wrongly typed field is a CheckpointError naming it."""
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise CheckpointError(f"{where} lacks field {key!r}")
+    value = obj[key]
+    # JSON true/false load as bool, which isinstance() would accept as int
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise CheckpointError(f"{where} field {key!r} has type {type(value).__name__}")
+    return value
+
+
+def _int_tuple(obj, key: str, where: str) -> tuple[int, ...]:
+    value = _field(obj, key, list, where)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+        raise CheckpointError(f"{where} field {key!r} must hold integers, got {value!r}")
+    return tuple(value)
+
+
+def _layer_from_dict(d, where: str) -> LayerSpec:
     return LayerSpec(
-        kind=LayerKind(d["kind"]),
-        in_channels=d["in_channels"],
-        out_channels=d["out_channels"],
-        kernel=d["kernel"],
-        stride=d["stride"],
-        padding=d["padding"],
-        output_padding=d["output_padding"],
-        activation=Activation(d["activation"]),
+        kind=LayerKind(_field(d, "kind", str, where)),
+        in_channels=_field(d, "in_channels", int, where),
+        out_channels=_field(d, "out_channels", int, where),
+        kernel=_field(d, "kernel", int, where),
+        stride=_field(d, "stride", int, where),
+        padding=_field(d, "padding", int, where),
+        output_padding=_field(d, "output_padding", (int, type(None)), where),
+        activation=Activation(_field(d, "activation", str, where)),
     )
 
 
@@ -111,18 +131,24 @@ def load_checkpoint(path: str | Path) -> CodecModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
 
-    adict = header["architecture"]
+    where = f"{path}: header"
+    adict = _field(header, "architecture", dict, where)
+    arch_where = f"{where} architecture"
     arch = ArchitectureSpec(
-        encoder=tuple(_layer_from_dict(d) for d in adict["encoder"]),
-        decoder=tuple(_layer_from_dict(d) for d in adict["decoder"]),
-        input_shape=tuple(adict["input_shape"]),
-        channel_count=adict["channel_count"],
-        latent_dims=tuple(adict["latent_dims"]),
+        encoder=tuple(_layer_from_dict(d, f"{arch_where} encoder layer {i}")
+                      for i, d in enumerate(_field(adict, "encoder", list, arch_where))),
+        decoder=tuple(_layer_from_dict(d, f"{arch_where} decoder layer {i}")
+                      for i, d in enumerate(_field(adict, "decoder", list, arch_where))),
+        input_shape=_int_tuple(adict, "input_shape", arch_where),
+        channel_count=_field(adict, "channel_count", int, arch_where),
+        latent_dims=_int_tuple(adict, "latent_dims", arch_where),
     )
-    rho = Fraction(header["rho"])
+    rho = Fraction(_field(header, "rho", str, where))
     if rho != arch.rho:
         raise CheckpointError(f"{path}: header rho {rho} disagrees with architecture ({arch.rho})")
-    variant = VariantId(header["variant"]) if header["variant"] is not None else None
+    variant_name = _field(header, "variant", (str, type(None)), where)
+    variant = VariantId(variant_name) if variant_name is not None else None
+    power = _field(header, "power", (int, float), where)
 
     params: dict[str, np.ndarray] = {}
     while pos < len(data):
@@ -133,4 +159,4 @@ def load_checkpoint(path: str | Path) -> CodecModel:
         count = int(np.prod(dims)) if dims else 1
         arr = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
         params[name] = arr.astype(np.float64)
-    return CodecModel(arch, variant=variant, power=header["power"], params=params)
+    return CodecModel(arch, variant=variant, power=power, params=params)

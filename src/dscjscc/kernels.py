@@ -1,4 +1,4 @@
-"""Dense NCHW convolution primitives with hand-written backward passes.
+"""NCHW convolution kernels built on one convolution and its two adjoints.
 
 Everything here operates on plain float64 numpy arrays; the graph layer in
 ``autodiff`` wraps these into differentiable nodes.  Convolution semantics are
@@ -9,37 +9,24 @@ Weight layouts:
     transposed conv      (Cin, Cout, K, K)
     depthwise (both)     (C, 1, K, K)
 
-A transposed convolution is computed in stamp form: every input pixel adds
-its weighted kernel into the strided output grid.  That form is the exact
-adjoint of the matching forward convolution and costs one GEMM at input
-resolution.
+All four layer kinds run on one core that takes a dense/depthwise flag (a
+depthwise layer is the groups=C case): ``_cols`` gathers input patches,
+``_conv`` convolves them, ``_conv_input_adjoint`` is its adjoint with respect
+to the input and ``_conv_weight_grad`` its gradient with respect to the
+kernel.  A transposed convolution is the input-adjoint of the matching
+convolution (Dumoulin & Visin, arXiv:1603.07285), computed in stamp form at
+input resolution: every input pixel adds its weighted kernel into the strided
+output grid.  Its backward pass is therefore the convolution itself, and its
+weight gradient is the convolution's with input and upstream swapped.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class ShapeError(ValueError):
     """Raised when tensor/kernel dimensions are incompatible, naming the offender."""
-
-
-@dataclass
-class ConvKernel:
-    """Learnable contents of one convolution: weights plus optional bias."""
-
-    weights: np.ndarray
-    bias: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.weights.ndim != 4:
-            raise ShapeError(f"kernel weights must be rank 4, got rank {self.weights.ndim}")
-        if self.weights.shape[2] != self.weights.shape[3]:
-            raise ShapeError(f"kernel must be square, got {self.weights.shape[2]}x{self.weights.shape[3]}")
-        if min(self.weights.shape) < 1:
-            raise ShapeError(f"kernel dims must be >= 1, got {self.weights.shape}")
 
 
 def conv_out_dim(size: int, k: int, stride: int, padding: int) -> int:
@@ -50,224 +37,185 @@ def tconv_out_dim(size: int, k: int, stride: int, padding: int, output_padding: 
     return (size - 1) * stride - 2 * padding + k + output_padding
 
 
-def _check_input(x: np.ndarray, name: str = "input") -> None:
-    if x.ndim != 4:
-        raise ShapeError(f"{name} must be rank 4 (N,C,H,W), got rank {x.ndim}")
-    if min(x.shape) < 1:
-        raise ShapeError(f"{name} dims must all be >= 1, got {x.shape}")
+def _validate(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int,
+              padding: int, output_padding: int | None, depthwise: bool) -> tuple[int, int]:
+    """Check one layer call's operands; returns its output (H, W).
 
-
-def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-
-def _patches(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    # (N,C,Hp,Wp) -> strided view (N,C,Ho,Wo,k,k); read-only, never written to
-    v = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return v[:, :, ::stride, ::stride]
+    ``output_padding`` is None for a convolution and an int for a transposed one.
+    """
+    if x.ndim != 4 or min(x.shape) < 1:
+        raise ShapeError(f"{op}: input must be rank 4 (N,C,H,W) with dims >= 1, got shape {x.shape}")
+    if w.ndim != 4 or w.shape[2] != w.shape[3] or min(w.shape) < 1:
+        raise ShapeError(f"{op}: kernel weights must be rank 4 with square K x K taps "
+                         f"and dims >= 1, got shape {w.shape}")
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"{op}: stride must be >= 1 and padding >= 0, got stride={stride}, padding={padding}")
+    transposed = output_padding is not None
+    if transposed and not 0 <= output_padding < stride:
+        raise ShapeError(f"{op}: output_padding must satisfy 0 <= output_padding < stride, "
+                         f"got output_padding={output_padding}, stride={stride}")
+    _, c, h, wd = x.shape
+    k = w.shape[2]
+    if depthwise:
+        if w.shape[1] != 1:
+            raise ShapeError(f"{op}: depthwise kernel must have one input slot per group, got {w.shape[1]}")
+        if w.shape[0] != c:
+            raise ShapeError(f"{op}: kernel has {w.shape[0]} channels, input has {c}")
+        cout = c
+    else:
+        cin, cout = (w.shape[0], w.shape[1]) if transposed else (w.shape[1], w.shape[0])
+        if cin != c:
+            raise ShapeError(f"{op}: kernel expects {cin} input channels, input has {c}")
+    if transposed:
+        ho, wo = (tconv_out_dim(d, k, stride, padding, output_padding) for d in (h, wd))
+    else:
+        ho, wo = (conv_out_dim(d, k, stride, padding) for d in (h, wd))
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"{op}: output spatial dims ({ho},{wo}) collapse below 1 for input {h}x{wd}")
+    if b is not None and b.shape != (cout,):
+        raise ShapeError(f"{op}: bias length {b.shape} != output channels {cout}")
+    return ho, wo
 
 
 # ---------------------------------------------------------------------------
-# standard convolution
+# the shared core
 # ---------------------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    # (N,C,Hp,Wp) -> (N*Ho*Wo, C*k*k) column matrix
-    pt = _patches(xp, k, stride)  # (N,C,Ho,Wo,k,k)
+def _rows(a: np.ndarray) -> np.ndarray:
+    # (N,C,H,W) -> (N*H*W, C), one row per pixel
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).reshape(-1, a.shape[1])
+
+
+def _cols(x: np.ndarray, k: int, stride: int, padding: int, depthwise: bool) -> np.ndarray:
+    """Patches of the padded input.
+
+    Dense: the (N*Ho*Wo, C*k*k) im2col matrix.  Depthwise: the strided
+    (N,C,Ho,Wo,k,k) view, read-only and never written to.
+    """
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    pt = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    if depthwise:
+        return pt
     n, c, ho, wo = pt.shape[:4]
     return np.ascontiguousarray(pt.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * k * k)
 
 
+def _conv(cols: np.ndarray, w: np.ndarray, shape: tuple[int, int, int], depthwise: bool) -> np.ndarray:
+    """Convolve the patches ``cols`` with a (Cout, Cin, k, k) kernel; ``shape`` is the output (N, Ho, Wo)."""
+    if depthwise:
+        return np.einsum("nchwkl,ckl->nchw", cols, w[:, 0], optimize=True)
+    y = cols @ w.reshape(w.shape[0], -1).T
+    return np.ascontiguousarray(y.reshape(*shape, -1).transpose(0, 3, 1, 2))
+
+
+def _conv_input_adjoint(gy: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                        size: tuple[int, int], depthwise: bool) -> np.ndarray:
+    """Adjoint of ``_conv`` with respect to its (H, W) = ``size`` input.
+
+    Every pixel of ``gy`` adds its weighted k x k stamp into the strided,
+    padded input grid; the padding is cropped off at the end.
+    """
+    n, _, ho, wo = gy.shape
+    k = w.shape[2]
+    if depthwise:
+        c = w.shape[0]
+    else:
+        cout, c = w.shape[:2]
+        gcol = (_rows(gy) @ w.reshape(cout, -1)).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    h, wd = size
+    gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=np.result_type(gy, w))
+    for i in range(k):
+        for j in range(k):
+            stamp = gy * w[None, :, 0, i, j, None, None] if depthwise else gcol[:, :, :, :, i, j]
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += stamp
+    return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])
+
+
+def _conv_weight_grad(cols: np.ndarray, gy: np.ndarray, w_shape: tuple[int, ...],
+                      depthwise: bool) -> np.ndarray:
+    """Gradient of ``_conv`` with respect to its kernel, given the patches it read."""
+    if depthwise:
+        return np.einsum("nchwkl,nchw->ckl", cols, gy, optimize=True)[:, None]
+    return (_rows(gy).T @ cols).reshape(w_shape)
+
+
+def _forward(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int,
+             padding: int, output_padding: int | None, depthwise: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Validate and run one layer call; returns (y, patches), patches None for a transposed layer."""
+    size = _validate(op, x, w, b, stride, padding, output_padding, depthwise)
+    if output_padding is None:
+        cols = _cols(x, w.shape[2], stride, padding, depthwise)
+        y = _conv(cols, w, (x.shape[0], *size), depthwise)
+    else:
+        cols, y = None, _conv_input_adjoint(x, w, stride, padding, size, depthwise)
+    if b is not None:
+        y += b[None, :, None, None]
+    return y, cols
+
+
+def _backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
+              depthwise: bool, cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if cols is None:
+        cols = _cols(x, w.shape[2], stride, padding, depthwise)
+    gx = _conv_input_adjoint(gy, w, stride, padding, x.shape[2:], depthwise)
+    return gx, _conv_weight_grad(cols, gy, w.shape, depthwise), gy.sum(axis=(0, 2, 3))
+
+
+def _tbackward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
+               depthwise: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the adjoint of the input-adjoint is the convolution itself, read with
+    # the (Cin,Cout,k,k) array as its (Cout',Cin',k,k) kernel
+    cols = _cols(gy, w.shape[2], stride, padding, depthwise)
+    gx = _conv(cols, w, (x.shape[0], x.shape[2], x.shape[3]), depthwise)
+    return gx, _conv_weight_grad(cols, x, w.shape, depthwise), gy.sum(axis=(0, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the four layer kinds
+# ---------------------------------------------------------------------------
+
 def conv2d_forward_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                           stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
     """Forward pass returning (output, column matrix) so backward can reuse it."""
-    _check_input(x)
-    n, c, h, wd = x.shape
-    cout, cin, k, _ = w.shape
-    if cin != c:
-        raise ShapeError(f"conv2d: kernel expects {cin} input channels, input has {c}")
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"conv2d: stride must be >= 1 and padding >= 0, got stride={stride}, padding={padding}")
-    ho, wo = conv_out_dim(h, k, stride, padding), conv_out_dim(wd, k, stride, padding)
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d: output spatial dims ({ho},{wo}) collapse below 1 for input {h}x{wd}")
-    col = _im2col(_pad_hw(x, padding), k, stride)
-    y = np.ascontiguousarray(
-        (col @ w.reshape(cout, cin * k * k).T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv2d: bias length {b.shape} != output channels {cout}")
-        y += b[None, :, None, None]
-    return y, col
-
-
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                   stride: int, padding: int) -> np.ndarray:
-    return conv2d_forward_cached(x, w, b, stride, padding)[0]
+    return _forward("conv2d", x, w, b, stride, padding, None, False)
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
                     stride: int, padding: int,
                     col: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (gx, gw, gb) of a conv2d_forward call given upstream gy."""
-    n, c, h, wd = x.shape
-    cout, cin, k, _ = w.shape
-    ho, wo = gy.shape[2], gy.shape[3]
-    if col is None:
-        col = _im2col(_pad_hw(x, padding), k, stride)
-    gy2 = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
-    gw = (gy2.T @ col).reshape(cout, cin, k, k)
-    gb = gy.sum(axis=(0, 2, 3))
-    gcol = (gy2 @ w.reshape(cout, cin * k * k)).reshape(n, ho, wo, cin, k, k)
-    gcol = gcol.transpose(0, 3, 1, 2, 4, 5)  # (N,C,Ho,Wo,k,k)
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    gxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcol[:, :, :, :, i, j]
-    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
-    return np.ascontiguousarray(gx), gw, gb
+    """Gradients (gx, gw, gb) of a conv2d_forward_cached call given upstream gy."""
+    return _backward(x, w, gy, stride, padding, False, col)
 
-
-# ---------------------------------------------------------------------------
-# depthwise convolution
-# ---------------------------------------------------------------------------
 
 def depthwise_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                              stride: int, padding: int) -> np.ndarray:
-    _check_input(x)
-    n, c, h, wd = x.shape
-    ch, one, k, _ = w.shape
-    if one != 1:
-        raise ShapeError(f"depthwise kernel must have one input slot per group, got {one}")
-    if ch != c:
-        raise ShapeError(f"depthwise_conv2d: kernel has {ch} channels, input has {c}")
-    ho, wo = conv_out_dim(h, k, stride, padding), conv_out_dim(wd, k, stride, padding)
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"depthwise_conv2d: output spatial dims ({ho},{wo}) collapse below 1")
-    pt = _patches(_pad_hw(x, padding), k, stride)
-    y = np.einsum("nchwkl,ckl->nchw", pt, w[:, 0], optimize=True)
-    if b is not None:
-        if b.shape != (c,):
-            raise ShapeError(f"depthwise_conv2d: bias length {b.shape} != channels {c}")
-        y += b[None, :, None, None]
-    return y
+    return _forward("depthwise_conv2d", x, w, b, stride, padding, None, True)[0]
 
 
 def depthwise_conv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
                               stride: int, padding: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, c, h, wd = x.shape
-    k = w.shape[2]
-    ho, wo = gy.shape[2], gy.shape[3]
-    xp = _pad_hw(x, padding)
-    pt = _patches(xp, k, stride)
-    gw = np.einsum("nchwkl,nchw->ckl", pt, gy, optimize=True)[:, None]
-    gb = gy.sum(axis=(0, 2, 3))
-    gxp = np.zeros_like(xp)
-    for i in range(k):
-        for j in range(k):
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                gy * w[None, :, 0, i, j, None, None]
-    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
-    return gx, gw, gb
-
-
-# ---------------------------------------------------------------------------
-# transposed convolution (adjoint of conv2d)
-# ---------------------------------------------------------------------------
-# Forward is the stamp form: every input pixel scatters its weighted kernel
-# into the (virtually padded) output grid with the given stride.  This is the
-# exact adjoint of the matching conv2d, computed at input resolution.
-
-def _validate_tconv(stride: int, padding: int, output_padding: int) -> None:
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"tconv2d: stride must be >= 1 and padding >= 0, got stride={stride}, padding={padding}")
-    if not 0 <= output_padding < stride:
-        raise ShapeError(f"tconv2d: output_padding must satisfy 0 <= output_padding < stride, "
-                         f"got output_padding={output_padding}, stride={stride}")
-
-
-def _scatter_stamps(stamps: np.ndarray, stride: int, padding: int,
-                    ho: int, wo: int) -> np.ndarray:
-    # stamps: (N,Cout,H,W,k,k) per-input-pixel kernel contributions
-    n, cout, h, w, k, _ = stamps.shape
-    yp = np.zeros((n, cout, ho + 2 * padding, wo + 2 * padding), dtype=stamps.dtype)
-    for i in range(k):
-        for j in range(k):
-            yp[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += stamps[:, :, :, :, i, j]
-    return np.ascontiguousarray(yp[:, :, padding:padding + ho, padding:padding + wo])
+    return _backward(x, w, gy, stride, padding, True, None)
 
 
 def tconv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                     stride: int, padding: int, output_padding: int) -> np.ndarray:
-    _check_input(x)
-    _validate_tconv(stride, padding, output_padding)
-    n, c, h, wd = x.shape
-    cin, cout, k, _ = w.shape
-    if cin != c:
-        raise ShapeError(f"tconv2d: kernel expects {cin} input channels, input has {c}")
-    ho = tconv_out_dim(h, k, stride, padding, output_padding)
-    wo = tconv_out_dim(wd, k, stride, padding, output_padding)
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"tconv2d: output spatial dims ({ho},{wo}) collapse below 1")
-    x2 = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * wd, cin)
-    stamps = (x2 @ w.reshape(cin, cout * k * k)).reshape(n, h, wd, cout, k, k)
-    y = _scatter_stamps(stamps.transpose(0, 3, 1, 2, 4, 5), stride, padding, ho, wo)
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"tconv2d: bias length {b.shape} != output channels {cout}")
-        y += b[None, :, None, None]
-    return y
+    return _forward("tconv2d", x, w, b, stride, padding, output_padding, False)[0]
 
 
 def tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
                      stride: int, padding: int, output_padding: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, c, h, wd = x.shape
-    cin, cout, k, _ = w.shape
-    # the adjoint of a stamp-scatter is a patch-gather: a plain conv2d of gy
-    # with the same (Cin,Cout,k,k) array read as a (Cout',Cin',k,k) kernel
-    gx = conv2d_forward(gy, w, None, stride, padding)
-    gb = gy.sum(axis=(0, 2, 3))
-    col = _im2col(_pad_hw(gy, padding), k, stride)  # (N*H*W, Cout*k*k)
-    x2 = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * wd, cin)
-    gw = (x2.T @ col).reshape(cin, cout, k, k)
-    return gx, gw, gb
+    return _tbackward(x, w, gy, stride, padding, False)
 
 
 def depthwise_tconv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                               stride: int, padding: int, output_padding: int) -> np.ndarray:
-    _check_input(x)
-    _validate_tconv(stride, padding, output_padding)
-    n, c, h, wd = x.shape
-    ch, one, k, _ = w.shape
-    if one != 1:
-        raise ShapeError(f"depthwise kernel must have one input slot per group, got {one}")
-    if ch != c:
-        raise ShapeError(f"depthwise_tconv2d: kernel has {ch} channels, input has {c}")
-    ho = tconv_out_dim(h, k, stride, padding, output_padding)
-    wo = tconv_out_dim(wd, k, stride, padding, output_padding)
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"depthwise_tconv2d: output spatial dims ({ho},{wo}) collapse below 1")
-    stamps = x[:, :, :, :, None, None] * w[:, 0][None, :, None, None, :, :]
-    y = _scatter_stamps(stamps, stride, padding, ho, wo)
-    if b is not None:
-        if b.shape != (c,):
-            raise ShapeError(f"depthwise_tconv2d: bias length {b.shape} != channels {c}")
-        y += b[None, :, None, None]
-    return y
+    return _forward("depthwise_tconv2d", x, w, b, stride, padding, output_padding, True)[0]
 
 
 def depthwise_tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
                                stride: int, padding: int, output_padding: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, c, h, wd = x.shape
-    k = w.shape[2]
-    gx = depthwise_conv2d_forward(gy, w, None, stride, padding)
-    gb = gy.sum(axis=(0, 2, 3))
-    pt = _patches(_pad_hw(gy, padding), k, stride)  # (N,C,H,W,k,k)
-    gw = np.einsum("nchwij,nchw->cij", pt, x, optimize=True)[:, None]
-    return gx, gw, gb
+    return _tbackward(x, w, gy, stride, padding, True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +223,8 @@ def depthwise_tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def prelu_forward(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    _check_input(x)
+    if x.ndim != 4 or min(x.shape) < 1:
+        raise ShapeError(f"prelu: input must be rank 4 (N,C,H,W) with dims >= 1, got shape {x.shape}")
     if slopes.shape != (x.shape[1],):
         raise ShapeError(f"prelu: slopes length {slopes.shape} != channels {x.shape[1]}")
     s = slopes[None, :, None, None]
@@ -301,39 +250,3 @@ def sigmoid_forward(x: np.ndarray) -> np.ndarray:
 
 def sigmoid_backward(y: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return y * (1.0 - y) * gy
-
-
-# ---------------------------------------------------------------------------
-# spec-surface wrappers taking ConvKernel
-# ---------------------------------------------------------------------------
-
-def conv2d(x: np.ndarray, kernel: ConvKernel, stride: int = 1, padding: int = 0) -> np.ndarray:
-    return conv2d_forward(x, kernel.weights, kernel.bias, stride, padding)
-
-
-def depthwise_conv2d(x: np.ndarray, kernel: ConvKernel, stride: int = 1, padding: int = 0) -> np.ndarray:
-    return depthwise_conv2d_forward(x, kernel.weights, kernel.bias, stride, padding)
-
-
-def pointwise_conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
-    if kernel.weights.shape[2] != 1:
-        raise ShapeError(f"pointwise_conv2d: kernel size must be 1, got {kernel.weights.shape[2]}")
-    return conv2d_forward(x, kernel.weights, kernel.bias, 1, 0)
-
-
-def tconv2d(x: np.ndarray, kernel: ConvKernel, stride: int = 1, padding: int = 0,
-            output_padding: int = 0) -> np.ndarray:
-    return tconv2d_forward(x, kernel.weights, kernel.bias, stride, padding, output_padding)
-
-
-def depthwise_tconv2d(x: np.ndarray, kernel: ConvKernel, stride: int = 1, padding: int = 0,
-                      output_padding: int = 0) -> np.ndarray:
-    return depthwise_tconv2d_forward(x, kernel.weights, kernel.bias, stride, padding, output_padding)
-
-
-def prelu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    return prelu_forward(x, slopes)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return sigmoid_forward(x)

@@ -243,16 +243,16 @@ def build_variant_architecture(variant: VariantId,
 
 def normalize_pixels(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
-    if image.size and (image.min() < 0.0 or image.max() > 255.0):
-        raise ValueError(f"pixel values must lie in [0, 255], got range "
+    if not np.all((image >= 0.0) & (image <= 255.0)):  # NaN fails both comparisons
+        raise ValueError(f"pixel values must be finite and lie in [0, 255], got range "
                          f"[{image.min():.3f}, {image.max():.3f}]")
     return image / 255.0
 
 
 def denormalize_pixels(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
-    if image.size and (image.min() < 0.0 or image.max() > 1.0):
-        raise ValueError(f"normalized pixels must lie in [0, 1], got range "
+    if not np.all((image >= 0.0) & (image <= 1.0)):  # NaN fails both comparisons
+        raise ValueError(f"normalized pixels must be finite and lie in [0, 1], got range "
                          f"[{image.min():.3f}, {image.max():.3f}]")
     return image * 255.0
 
@@ -266,30 +266,6 @@ def reshape_to_complex(feature: np.ndarray) -> np.ndarray:
     if flat.shape[1] % 2 != 0:
         raise ShapeError(f"reshape_to_complex: element count {flat.shape[1]} per item is odd")
     return flat[:, 0::2] + 1j * flat[:, 1::2]
-
-
-def complex_to_feature(z: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of reshape_to_complex back onto a (N,) + shape feature map."""
-    c, h, w = shape
-    n = z.shape[0]
-    if z.shape[1] * 2 != c * h * w:
-        raise ShapeError(f"complex vector length {z.shape[1]} does not fill a {c}x{h}x{w} map")
-    flat = np.empty((n, c * h * w), dtype=np.float64)
-    flat[:, 0::2] = z.real
-    flat[:, 1::2] = z.imag
-    return flat.reshape(n, c, h, w)
-
-
-def power_normalize(z: np.ndarray, k: int, power: float) -> np.ndarray:
-    """Rescale a complex vector (or batch of rows) to squared norm k*power."""
-    z = np.asarray(z)
-    single = z.ndim == 1
-    zb = z[None, :] if single else z
-    norms = np.sqrt(np.sum(np.abs(zb) ** 2, axis=1, keepdims=True))
-    if np.any(norms == 0.0):
-        raise ValueError("power_normalize: zero-norm input has no direction to preserve")
-    out = zb * (math.sqrt(k * power) / norms)
-    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Checkpoint format: byte-stable round trips, tamper rejection, scalar counts."""
 
+import json
 import struct
 
 import numpy as np
@@ -8,6 +9,26 @@ import pytest
 from dscjscc.checkpoint import (FORMAT_VERSION, MAGIC, CheckpointError,
                                 load_checkpoint, save_checkpoint)
 from dscjscc.model import CodecModel, VariantId, build_variant_architecture
+
+
+def rewrite_header(path, edit):
+    """Apply edit(header dict) to a saved checkpoint's JSON header in place."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + length])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length:])
+
+
+# header field -> an edit that removes it or gives it the wrong type
+HEADER_EDITS = {
+    "architecture": lambda h: h.pop("architecture"),
+    "power": lambda h: h.update(power="high"),
+    "input_shape": lambda h: h["architecture"].update(input_shape=[16, "16", 3]),
+    "stride": lambda h: h["architecture"]["decoder"][2].pop("stride"),
+    "encoder": lambda h: h["architecture"].update(encoder={}),
+}
 
 
 @pytest.fixture()
@@ -84,6 +105,14 @@ class TestTampering:
         save_checkpoint(small_model, p)
         p.write_bytes(p.read_bytes()[:-37])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("field", HEADER_EDITS)
+    def test_incomplete_header_rejected(self, small_model, tmp_path, field):
+        p = tmp_path / "m.dscj"
+        save_checkpoint(small_model, p)
+        rewrite_header(p, HEADER_EDITS[field])
+        with pytest.raises(CheckpointError, match=field):
             load_checkpoint(p)
 
     def test_header_magic_constant(self):

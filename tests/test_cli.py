@@ -7,6 +7,7 @@ import pytest
 
 from dscjscc.cli import (ConfigError, derive_bandwidth, main, parse_config,
                          parse_input_size, parse_rho)
+from test_checkpoint import rewrite_header
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -207,6 +208,15 @@ class TestTrainEvalCommands:
         code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
         assert code == 1
         assert "magic" in err
+
+    def test_incomplete_checkpoint_header_nonzero_exit(self, capsys, desk_config):
+        cfg, out_dir = desk_config
+        run_cli(capsys, "train", "--config", str(cfg))
+        rewrite_header(out_dir / "checkpoint.dscj", lambda h: h.pop("architecture"))
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and "architecture" in err
+        assert "Traceback" not in err
 
     def test_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

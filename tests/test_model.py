@@ -12,9 +12,8 @@ from dscjscc.autodiff import Tensor
 from dscjscc.kernels import ShapeError
 from dscjscc.model import (VARIANT_ORDER, VARIANT_PATTERNS, Activation, CodecModel,
                            LayerKind, VariantId, build_variant,
-                           build_variant_architecture, complex_to_feature,
-                           default_base_architecture, denormalize_pixels,
-                           normalize_pixels, power_normalize, reshape_to_complex)
+                           build_variant_architecture, default_base_architecture,
+                           denormalize_pixels, normalize_pixels, reshape_to_complex)
 
 rng = np.random.default_rng(7)
 
@@ -160,9 +159,12 @@ class TestComplexReshape:
         assert z[0, 0] == 3.0 + 4.0j
 
     def test_roundtrip_identity(self):
-        feat = rng.standard_normal((2, 4, 3, 3)) * 10
-        back = complex_to_feature(reshape_to_complex(feat), (4, 3, 3))
-        np.testing.assert_array_equal(back, feat)
+        # decode() interleaves complex symbols back into the latent map it decodes
+        arch = build_variant_architecture(VariantId.R60_E2D2, (16, 16, 3), 4)
+        m = CodecModel(arch, variant=VariantId.R60_E2D2, seed=2)
+        feat = rng.standard_normal((2, 4, 4, 4))
+        direct = m.decode_graph(Tensor(feat.reshape(2, -1))).data * 255.0
+        np.testing.assert_array_equal(m.decode(reshape_to_complex(feat)), direct)
 
     def test_isometry(self):
         feat = rng.standard_normal((3, 2, 4, 4))
@@ -175,36 +177,51 @@ class TestComplexReshape:
             reshape_to_complex(np.ones((1, 3, 1, 1)))
 
 
+def _interleave(z: np.ndarray) -> Tensor:
+    # (N, k) complex rows -> the (N, 2k) real/imaginary rows the encoder normalizes
+    rows = np.empty((z.shape[0], 2 * z.shape[1]))
+    rows[:, 0::2], rows[:, 1::2] = z.real, z.imag
+    return Tensor(rows)
+
+
+def _power_normalize(z: np.ndarray, k: int, power: float) -> np.ndarray:
+    out = ad.power_normalize(_interleave(z), k, power).data
+    return out[:, 0::2] + 1j * out[:, 1::2]
+
+
 class TestPowerNormalize:
     def test_idempotent_on_constraint_set(self):
         k = 8
-        z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        z = rng.standard_normal((1, k)) + 1j * rng.standard_normal((1, k))
         z = z * np.sqrt(k / np.sum(np.abs(z) ** 2))
-        np.testing.assert_allclose(power_normalize(z, k, 1.0), z, rtol=1e-12)
+        np.testing.assert_allclose(_power_normalize(z, k, 1.0), z, rtol=1e-12)
 
     def test_unit_rescale(self):
-        z = np.zeros(4, dtype=complex)
-        z[0] = 2.0
-        out = power_normalize(z, 1, 1.0)
-        assert out[0] == pytest.approx(1.0)
-        np.testing.assert_array_equal(out[1:], np.zeros(3))
+        z = np.zeros((1, 4), dtype=complex)
+        z[0, 0] = 2.0
+        out = _power_normalize(z, 1, 1.0)
+        assert out[0, 0] == pytest.approx(1.0)
+        np.testing.assert_array_equal(out[0, 1:], np.zeros(3))
 
     def test_scale_invariance(self):
-        z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        z = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
         for alpha in (0.5, 3.0, 1e6):
-            np.testing.assert_allclose(power_normalize(alpha * z, 3, 2.0),
-                                       power_normalize(z, 3, 2.0), rtol=1e-10)
+            np.testing.assert_allclose(_power_normalize(alpha * z, 3, 2.0),
+                                       _power_normalize(z, 3, 2.0), rtol=1e-10)
 
     def test_zero_norm_rejected(self):
+        # one zero row in an otherwise valid batch is enough
+        z = np.ones((3, 4), dtype=complex)
+        z[1] = 0.0
         with pytest.raises(ValueError, match="zero-norm"):
-            power_normalize(np.zeros(4, dtype=complex), 2, 1.0)
+            _power_normalize(z, 4, 1.0)
 
     @given(st.integers(2, 10), st.floats(0.1, 10.0))
     @settings(max_examples=30)
     def test_norm_contract_property(self, k, p):
-        z = rng.standard_normal(k) + 1j * rng.standard_normal(k) + 0.1
-        out = power_normalize(z, k, p)
-        assert np.sum(np.abs(out) ** 2) == pytest.approx(k * p, rel=1e-12)
+        z = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k)) + 0.1
+        out = _power_normalize(z, k, p)
+        np.testing.assert_allclose(np.sum(np.abs(out) ** 2, axis=1), k * p, rtol=1e-12)
 
 
 class TestCodec:
@@ -247,6 +264,20 @@ class TestCodec:
         m = self._model()
         with pytest.raises(ShapeError, match="does not match"):
             m.encode(rng.uniform(0, 255, size=(1, 3, 16, 16)))
+
+    def test_encode_rejects_nan_pixel(self):
+        m = self._model()
+        img = rng.uniform(0, 255, size=(1, 3, 32, 32))
+        img[0, 1, 5, 7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            m.encode(img)
+
+    def test_decode_rejects_nan_symbols(self):
+        m = self._model()
+        z = m.encode(rng.uniform(0, 255, size=(1, 3, 32, 32)))
+        z[0, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            m.decode(z)
 
     def test_decode_rejects_wrong_length(self):
         m = self._model()
