@@ -117,13 +117,15 @@ def _data(b: Tensor | None) -> np.ndarray | None:
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int) -> Tensor:
     y, col = kernels.conv2d_forward_cached(x.data, w.data, _data(b), stride, padding)
     return _node(y, _conv_parents(x, w, b),
-                 lambda gy: kernels.conv2d_backward(x.data, w.data, gy, stride, padding, col=col))
+                 lambda gy: kernels.conv2d_backward(x.data, w.data, gy, stride, padding, col=col,
+                                                    input_grad=x.requires_grad))
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int) -> Tensor:
     y = kernels.depthwise_conv2d_forward(x.data, w.data, _data(b), stride, padding)
     return _node(y, _conv_parents(x, w, b),
-                 lambda gy: kernels.depthwise_conv2d_backward(x.data, w.data, gy, stride, padding))
+                 lambda gy: kernels.depthwise_conv2d_backward(x.data, w.data, gy, stride, padding,
+                                                              input_grad=x.requires_grad))
 
 
 def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:

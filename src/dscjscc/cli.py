@@ -57,11 +57,25 @@ class ExperimentConfig:
 
 
 def parse_input_size(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
+    parts = text.lower().split("x") if isinstance(text, str) else []
     if len(parts) != 3:
         raise ConfigError(f"input size must look like 256x256x3, got {text!r}")
     w, h, c = (int(p) for p in parts)
+    if min(w, h, c) < 1:
+        raise ConfigError(f"input size dims must all be >= 1, got {text!r}")
     return (w, h, c)
+
+
+def _parse_max_steps(value) -> int | None:
+    if value is None or (type(value) is int and value >= 1):  # a bool is not an int here
+        return value
+    raise ConfigError(f"max_steps must be an integer >= 1, got {value!r}")
+
+
+def _parse_snr_list(value) -> tuple[float, ...]:
+    if not isinstance(value, list) or not all(type(s) in (int, float) for s in value):
+        raise ConfigError(f"snr_list must be a list of numbers, got {value!r}")
+    return tuple(float(s) for s in value)
 
 
 def parse_rho(value) -> Fraction:
@@ -119,7 +133,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
     variant = VariantId.from_name(raw.get("variant", "dsc-jscc-60-e2d2"))
     input_shape = parse_input_size(raw.get("input_size", "256x256x3"))
     k, c, rho = derive_bandwidth(input_shape, raw.get("rho"), raw.get("c"))
-    snr_list = tuple(float(s) for s in raw.get("snr_list", (0.0, 5.0, 10.0, 15.0, 19.0)))
+    snr_list = _parse_snr_list(raw.get("snr_list", [0.0, 5.0, 10.0, 15.0, 19.0]))
     return ExperimentConfig(
         variant=variant,
         input_shape=input_shape,
@@ -130,7 +144,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
         learning_rate=float(raw.get("learning_rate", 0.001)),
         batch_size=int(raw.get("batch_size", 32)),
         epochs=int(raw.get("epochs", 20)),
-        max_steps=raw.get("max_steps"),
+        max_steps=_parse_max_steps(raw.get("max_steps")),
         dataset=raw.get("dataset"),
         seed=int(raw.get("seed", 0)),
         out_dir=str(raw.get("out_dir", ".")),

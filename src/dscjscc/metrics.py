@@ -55,17 +55,18 @@ def evaluate_sweep(model: CodecModel, data: Dataset, snr_list: list[float],
     """Mean/std PSNR per SNR point, averaged over images and noise draws.
 
     Each (snr, image) pair gets its own channel PRNG stream derived from the
-    master seed, so results are independent of evaluation order.
+    master seed, so results are independent of evaluation order.  Encoding
+    does not depend on the SNR, so each image is encoded once, at batch 1.
     """
     if not snr_list:
         raise ValueError("evaluate_sweep: snr_list must not be empty")
     power = model.power if power is None else power
+    images = [data.images[ii:ii + 1] for ii in range(len(data))]
+    codes = [model.encode(image) for image in images]
     rows = []
     for si, snr_db in enumerate(snr_list):
         values = []
-        for ii in range(len(data)):
-            image = data.images[ii:ii + 1]
-            z = model.encode(image)
+        for ii, (image, z) in enumerate(zip(images, codes)):
             cfg = ChannelConfig(power=power, snr_db=snr_db,
                                 seed=_stream_seed(seed, si, ii))
             ch = AwgnChannel(cfg)

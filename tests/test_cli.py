@@ -218,6 +218,23 @@ class TestTrainEvalCommands:
         assert err.startswith("error:") and "architecture" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_steps", "ten", "max_steps"),
+        ("max_steps", True, "max_steps"),
+        ("snr_list", 5, "snr_list"),
+        ("input_size", "0x0x3", "input size"),
+    ])
+    def test_malformed_config_value_nonzero_exit(self, capsys, tmp_path, key, value, message):
+        cfg = {"variant": "baseline", "input_size": "16x16x3", "c": 4, "max_steps": 1,
+               "dataset": {"synthetic": {"count": 4}}, "out_dir": str(tmp_path / "run")}
+        cfg[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "train", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

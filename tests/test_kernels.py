@@ -276,6 +276,44 @@ def test_adjoint_identity_property(h, k, s, p):
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
+@given(st.integers(2, 3), st.integers(1, 4), st.integers(1, 3), st.integers(2, 5), st.integers(1, 5),
+       st.integers(1, 2), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_dense_input_adjoint_matches_oracle(n, c1, shift, h, k, s, p):
+    # batch > 1 and unequal channel counts, so a batch/channel mix-up in the
+    # (C, N, H, W) stamp layout cannot cancel out
+    c2 = (c1 - 1 + shift) % 4 + 1
+    r = _example_rng(n, c1, shift, h, k, s, p)
+    x = r.standard_normal((n, c1, h, h))
+    wt = r.standard_normal((c1, c2, k, k))
+    b = r.standard_normal(c2)
+    for opad in range(s):
+        if tconv_out_dim(h, k, s, p, opad) >= 1:
+            np.testing.assert_allclose(tconv2d_forward(x, wt, b, s, p, opad),
+                                       naive_tconv2d(x, wt, b, s, p, opad), atol=1e-12)
+    ho = conv_out_dim(h, k, s, p)
+    if ho < 1:
+        return
+    wc = r.standard_normal((c2, c1, k, k))
+    gy = r.standard_normal((n, c2, ho, ho))
+    gx = kernels.conv2d_backward(x, wc, gy, s, p)[0]
+    opad = h - tconv_out_dim(ho, k, s, p, 0)  # the conv's input rows its last window leaves unread
+    np.testing.assert_allclose(gx, naive_tconv2d(gy, wc, None, s, p, opad), atol=1e-12)
+
+
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_input_gradient_can_be_skipped(depthwise):
+    x = rng.standard_normal((2, 3, 6, 6))
+    w = rng.standard_normal((3, 1, 3, 3)) if depthwise else rng.standard_normal((4, 3, 3, 3))
+    gy = rng.standard_normal((2, w.shape[0], 3, 3))
+    backward = kernels.depthwise_conv2d_backward if depthwise else kernels.conv2d_backward
+    gx, gw, gb = backward(x, w, gy, 2, 1)
+    skipped = backward(x, w, gy, 2, 1, input_grad=False)
+    assert gx.shape == x.shape and skipped[0] is None
+    np.testing.assert_array_equal(skipped[1], gw)
+    np.testing.assert_array_equal(skipped[2], gb)
+
+
 def test_benchmark_kernel_names_exist(monkeypatch):
     # perfbench/ looks kernels up by name; a rename must fail here, not as a crashed benchmark
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

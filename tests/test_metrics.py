@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.data import synthetic_dataset
 from dscjscc.kernels import ShapeError
-from dscjscc.metrics import (PSNR_CAP_DB, evaluate_sweep, mse_loss, mse_pixel_mean,
-                             psnr, sweep_to_csv)
+from dscjscc.metrics import (PSNR_CAP_DB, _stream_seed, evaluate_sweep, mse_loss,
+                             mse_pixel_mean, psnr, sweep_to_csv)
 from dscjscc.model import CodecModel, VariantId, build_variant_architecture
 from oracles import naive_mse_sum_per_sample
 
@@ -113,3 +114,23 @@ class TestEvaluateSweep:
         csv = sweep_to_csv(rows)
         assert csv.startswith("snr_db,mean_psnr_db,std_psnr_db,n_images,n_draws\n")
         assert len(csv.strip().split("\n")) == 2
+
+    def test_encodes_each_image_once_and_keeps_noise_streams(self, model_and_data, monkeypatch):
+        model, data = model_and_data
+        snrs, draws, seed = [0.0, 10.0, 19.0], 2, 5
+        expected = []
+        for si, snr_db in enumerate(snrs):
+            values = []
+            for ii in range(len(data)):
+                image = data.images[ii:ii + 1]
+                ch = AwgnChannel(ChannelConfig(power=model.power, snr_db=snr_db,
+                                               seed=_stream_seed(seed, si, ii)))
+                z = model.encode(image)
+                values += [psnr(image, model.decode(ch.transmit(z))) for _ in range(draws)]
+            expected.append((float(np.mean(values)), float(np.std(values))))
+        encoded = []
+        real_encode = model.encode
+        monkeypatch.setattr(model, "encode", lambda image: encoded.append(image) or real_encode(image))
+        rows = evaluate_sweep(model, data, snrs, draws_per_image=draws, seed=seed)
+        assert len(encoded) == len(data)
+        assert [(r.mean_psnr_db, r.std_psnr_db) for r in rows] == expected

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from dscjscc import autodiff as ad
 from dscjscc.autodiff import Tensor
-from dscjscc.channel import ChannelConfig
+from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.data import synthetic_dataset
 from dscjscc.kernels import ShapeError
 from dscjscc.model import CodecModel, VariantId, build_variant_architecture
@@ -115,3 +116,25 @@ class TestTrainLoop:
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+
+def _step_graph_grads(variant, image_requires_grad):
+    # the graph of training.train_step, with the image tensor kept for inspection
+    model = CodecModel(build_variant_architecture(variant, (16, 16, 3), 4), variant=variant, seed=5)
+    x = Tensor(synthetic_dataset(4, 16, seed=6).images, requires_grad=image_requires_grad)
+    symbols = model.encode_graph(x)
+    noise = AwgnChannel(ChannelConfig(snr_db=10.0, seed=7)).noise_block(symbols.data.shape)
+    loss = ad.mse_mean(model.decode_graph(ad.add_constant(symbols, noise)), ad.scale(x, 1.0 / 255.0))
+    loss.backward()
+    return x, {k: t.grad for k, t in model.params.items()}
+
+
+@pytest.mark.parametrize("variant", [VariantId.BASELINE, VariantId.R100])
+def test_image_gets_no_gradient_and_parameters_are_unchanged(variant):
+    x, grads = _step_graph_grads(variant, image_requires_grad=False)
+    assert x.grad is None
+    x_req, grads_req = _step_graph_grads(variant, image_requires_grad=True)
+    assert x_req.grad is not None and x_req.grad.shape == x.data.shape
+    assert grads.keys() == grads_req.keys()
+    for k in grads:
+        np.testing.assert_array_equal(grads[k], grads_req[k], err_msg=k)
