@@ -66,10 +66,29 @@ def parse_input_size(text: str) -> tuple[int, int, int]:
     return (w, h, c)
 
 
-def _parse_max_steps(value) -> int | None:
-    if value is None or (type(value) is int and value >= 1):  # a bool is not an int here
+def _int_field(section: dict, key: str, default: int | None, minimum: int, where: str = "") -> int | None:
+    """``section[key]`` as an int (a bool is not one) >= ``minimum``; ``default`` when absent.
+
+    A null value counts as absent only where the default is None.
+    """
+    value = section.get(key)
+    if value is None and (key not in section or default is None):
+        return default
+    if type(value) is int and value >= minimum:
         return value
-    raise ConfigError(f"max_steps must be an integer >= 1, got {value!r}")
+    raise ConfigError(f"{where}{key} must be an integer >= {minimum}, got {value!r}")
+
+
+def _parse_dataset(value) -> dict | None:
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise ConfigError(f"dataset must be an object, got {value!r}")
+    if "path" in value and not isinstance(value["path"], str):
+        raise ConfigError(f"dataset.path must be a string, got {value['path']!r}")
+    if "synthetic" in value and not isinstance(value["synthetic"], dict):
+        raise ConfigError(f"dataset.synthetic must be an object, got {value['synthetic']!r}")
+    return value
 
 
 def _parse_snr_list(value) -> tuple[float, ...]:
@@ -132,7 +151,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
 
     variant = VariantId.from_name(raw.get("variant", "dsc-jscc-60-e2d2"))
     input_shape = parse_input_size(raw.get("input_size", "256x256x3"))
-    k, c, rho = derive_bandwidth(input_shape, raw.get("rho"), raw.get("c"))
+    k, c, rho = derive_bandwidth(input_shape, raw.get("rho"), _int_field(raw, "c", None, 1))
     snr_list = _parse_snr_list(raw.get("snr_list", [0.0, 5.0, 10.0, 15.0, 19.0]))
     return ExperimentConfig(
         variant=variant,
@@ -142,14 +161,14 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
         train_snr_db=float(raw.get("train_snr_db", 10.0)),
         snr_list=snr_list,
         learning_rate=float(raw.get("learning_rate", 0.001)),
-        batch_size=int(raw.get("batch_size", 32)),
-        epochs=int(raw.get("epochs", 20)),
-        max_steps=_parse_max_steps(raw.get("max_steps")),
-        dataset=raw.get("dataset"),
-        seed=int(raw.get("seed", 0)),
+        batch_size=_int_field(raw, "batch_size", 32, 1),
+        epochs=_int_field(raw, "epochs", 20, 1),
+        max_steps=_int_field(raw, "max_steps", None, 1),
+        dataset=_parse_dataset(raw.get("dataset")),
+        seed=_int_field(raw, "seed", 0, 0),
         out_dir=str(raw.get("out_dir", ".")),
         checkpoint=raw.get("checkpoint"),
-        draws_per_image=int(raw.get("draws_per_image", 1)),
+        draws_per_image=_int_field(raw, "draws_per_image", 1, 1),
     )
 
 
@@ -167,8 +186,9 @@ def _load_configured_dataset(cfg: ExperimentConfig) -> Dataset:
         return load_dataset(spec["path"], crop=size)
     if "synthetic" in spec:
         syn = spec["synthetic"]
-        count = int(syn.get("count", 64))
-        return synthetic_dataset(count, cfg.input_shape[0], seed=int(syn.get("seed", cfg.seed + 2)))
+        count = _int_field(syn, "count", 64, 1, "dataset.synthetic.")
+        seed = _int_field(syn, "seed", cfg.seed + 2, 0, "dataset.synthetic.")
+        return synthetic_dataset(count, cfg.input_shape[0], seed=seed)
     raise ConfigError("dataset section needs a 'path' or a 'synthetic' entry")
 
 

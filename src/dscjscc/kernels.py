@@ -18,13 +18,24 @@ convolution (Dumoulin & Visin, arXiv:1603.07285), so its backward pass is the
 convolution itself, and its weight gradient is the convolution's with input
 and upstream swapped.
 
+Depthwise layers run batch-innermost: ``_cols`` pads the input once into
+(H, W, C, N) memory and returns a strided (Ho, Wo, C, N, k, k) window view
+of it, which the forward and weight-gradient ``einsum`` calls read without a
+copy, and the adjoint scatters (H, W, C, N) stamps into an (H, W, C, N) grid.
+Every tap then reads long contiguous (C, N) runs.  Batch-outermost
+(N, C, Ho, Wo, k, k) patches had runs one output row long, 8 elements in the
+8x8 middle layers, and ``einsum(optimize=True)`` copied them (27 MB for a
+stride-2 32x16x32x32 layer): the four depthwise kernels of a batch-32 train
+step took about twice as long.
+
 The input-adjoint is one scatter loop: every upstream pixel adds its weighted
 k x k kernel into a strided grid, one strided add per tap, through
-channel-major (C, N, H, W) views.  A dense kernel's stamps come tap-major from
-one GEMM, as a (k, k, C, N, Ho, Wo) block, so each add reads one contiguous
-slab.  The layout matters: read pixel-major, as rows of C*k*k taps, every
-stamp is a view with an innermost stride of C*k*k elements, and at batch 32
-the 5x5 adjoints ran 2-3x slower.
+spatial-first (H, W, C, N) views for both kernel kinds.  A dense kernel's
+stamps come tap-major from one GEMM, as a (k, k, C, N, Ho, Wo) block over an
+(N, C, H, W) grid, so each add reads one contiguous slab.  The layout
+matters: read pixel-major, as rows of C*k*k taps, every stamp is a view with
+an innermost stride of C*k*k elements, and at batch 32 the 5x5 adjoints ran
+2-3x slower.
 """
 
 from __future__ import annotations
@@ -96,22 +107,31 @@ def _rows(a: np.ndarray) -> np.ndarray:
 def _cols(x: np.ndarray, k: int, stride: int, padding: int, depthwise: bool) -> np.ndarray:
     """Patches of the padded input.
 
-    Dense: the (N*Ho*Wo, C*k*k) im2col matrix.  Depthwise: the strided
-    (N,C,Ho,Wo,k,k) view, read-only and never written to.
+    Dense: the (N*Ho*Wo, C*k*k) im2col matrix.  Depthwise: a strided
+    (Ho, Wo, C, N, k, k) view of the input, padded once into batch-innermost
+    (H, W, C, N) memory; read-only, never written to and never copied.
     """
+    if depthwise:
+        n, c, h, wd = x.shape
+        xp = np.zeros((h + 2 * padding, wd + 2 * padding, c, n), dtype=x.dtype)
+        xp[padding:padding + h, padding:padding + wd] = x.transpose(2, 3, 1, 0)
+        return np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))[::stride, ::stride]
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     pt = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    if depthwise:
-        return pt
     n, c, ho, wo = pt.shape[:4]
     return np.ascontiguousarray(pt.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * k * k)
+
+
+def _hwcn(a: np.ndarray) -> np.ndarray:
+    # (N,C,H,W) -> batch-innermost (H,W,C,N) memory
+    return np.ascontiguousarray(a.transpose(2, 3, 1, 0))
 
 
 def _conv(cols: np.ndarray, w: np.ndarray, shape: tuple[int, int, int], depthwise: bool) -> np.ndarray:
     """Convolve the patches ``cols`` with a (Cout, Cin, k, k) kernel; ``shape`` is the output (N, Ho, Wo)."""
     if depthwise:
-        return np.einsum("nchwkl,ckl->nchw", cols, w[:, 0], optimize=True)
+        return np.ascontiguousarray(np.einsum("hwcnij,cij->hwcn", cols, w[:, 0]).transpose(3, 2, 0, 1))
     y = cols @ w.reshape(w.shape[0], -1).T
     return np.ascontiguousarray(y.reshape(*shape, -1).transpose(0, 3, 1, 2))
 
@@ -121,39 +141,48 @@ def _conv_input_adjoint(gy: np.ndarray, w: np.ndarray, stride: int, padding: int
     """Adjoint of ``_conv`` with respect to its (H, W) = ``size`` input.
 
     Every pixel of ``gy`` adds its weighted k x k stamp into the strided,
-    padded input grid; the padding is cropped off at the end.  The loop runs
-    over channel-major (C, N, H, W) views of ``gy`` and of the grid, for both
-    kernel kinds.  The dense stamps come tap-major from one GEMM, the
-    (k*k*C, Cout) kernel times ``gy`` as (Cout, N*Ho*Wo), so each of the k*k
-    strided adds reads one contiguous (C, N, Ho, Wo) slab of the
-    (k, k, C, N, Ho, Wo) result.  Grid and ``gy`` stay in (N, C, H, W)
-    memory: storing either channel-major moved where the allocator placed
-    the large temporaries and raised the peak resident set of a batch-32
-    train step by about 6 %.
+    padded input grid; the padding is cropped off at the end.  The one
+    scatter loop indexes spatial-first (H, W, C, N) views of the grid and of
+    the stamps, for both kernel kinds; numpy runs each in-place add in the
+    grid's memory order, so the views only fix the indexing.
+
+    Depthwise: grid and ``gy`` live in batch-innermost (H, W, C, N) memory,
+    and each stamp is ``gy`` times one tap of every channel's kernel, so each
+    add walks contiguous (C, N) runs.  Dense: the stamps come tap-major from
+    one GEMM, the (k*k*C, Cout) kernel times ``gy`` as (Cout, N*Ho*Wo), and
+    the grid stays in (N, C, H, W) memory, so each add reads one contiguous
+    (C, N, Ho, Wo) slab of the (k, k, C, N, Ho, Wo) result.  Storing the
+    dense grid channel-major moved where the allocator placed the large
+    temporaries and raised the peak resident set of a batch-32 train step by
+    about 6 %.
     """
     n, _, ho, wo = gy.shape
     k = w.shape[2]
-    gyt = gy.transpose(1, 0, 2, 3)
+    h, wd = size
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    dtype = np.result_type(gy, w)
     if depthwise:
         c = w.shape[0]
+        gyt = _hwcn(gy)
+        taps = np.repeat(w[:, 0].transpose(1, 2, 0)[..., None], n, axis=3)  # (k, k, C, N)
+        grid = np.zeros((hp, wp, c, n), dtype=dtype)
     else:
         cout, c = w.shape[:2]
-        gcol = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gyt.reshape(cout, -1)).reshape(k, k, c, n, ho, wo)
-    h, wd = size
-    gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=np.result_type(gy, w))
-    grid = gxp.transpose(1, 0, 2, 3)
+        gcol = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.transpose(1, 0, 2, 3).reshape(cout, -1))
+        gcol = gcol.reshape(k, k, c, n, ho, wo).transpose(0, 1, 4, 5, 2, 3)
+        grid = np.zeros((n, c, hp, wp), dtype=dtype).transpose(2, 3, 1, 0)
     for i in range(k):
         for j in range(k):
-            stamp = gyt * w[:, 0, i, j, None, None, None] if depthwise else gcol[i, j]
-            grid[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += stamp
-    return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])
+            stamp = gyt * taps[i, j] if depthwise else gcol[i, j]
+            grid[i:i + stride * ho:stride, j:j + stride * wo:stride] += stamp
+    return np.ascontiguousarray(grid[padding:padding + h, padding:padding + wd].transpose(3, 2, 0, 1))
 
 
 def _conv_weight_grad(cols: np.ndarray, gy: np.ndarray, w_shape: tuple[int, ...],
                       depthwise: bool) -> np.ndarray:
     """Gradient of ``_conv`` with respect to its kernel, given the patches it read."""
     if depthwise:
-        return np.einsum("nchwkl,nchw->ckl", cols, gy, optimize=True)[:, None]
+        return np.einsum("hwcnij,hwcn->cij", cols, _hwcn(gy))[:, None]
     return (_rows(gy).T @ cols).reshape(w_shape)
 
 

@@ -223,6 +223,13 @@ class TestTrainEvalCommands:
         ("max_steps", True, "max_steps"),
         ("snr_list", 5, "snr_list"),
         ("input_size", "0x0x3", "input size"),
+        ("dataset", 5, "dataset must be an object"),
+        ("dataset", {"synthetic": 5}, "dataset.synthetic must be an object"),
+        ("dataset", {"path": 5}, "dataset.path"),
+        ("batch_size", True, "batch_size"),
+        ("epochs", True, "epochs"),
+        ("seed", True, "seed"),
+        ("dataset", {"synthetic": {"count": True}}, "dataset.synthetic.count"),
     ])
     def test_malformed_config_value_nonzero_exit(self, capsys, tmp_path, key, value, message):
         cfg = {"variant": "baseline", "input_size": "16x16x3", "c": 4, "max_steps": 1,

@@ -301,6 +301,45 @@ def test_dense_input_adjoint_matches_oracle(n, c1, shift, h, k, s, p):
     np.testing.assert_allclose(gx, naive_tconv2d(gy, wc, None, s, p, opad), atol=1e-12)
 
 
+@given(st.integers(2, 3), st.integers(1, 2), st.integers(2, 6), st.integers(1, 5), st.integers(1, 2),
+       st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_depthwise_kernels_match_block_diagonal_dense(n, shift, h, k, s, p):
+    # batch != channels, so a batch/channel mix-up in the batch-innermost
+    # (H, W, C, N) layout cannot cancel out; every path is checked against
+    # the naive loops or the dense kernels on the block-diagonal kernel
+    c = (n - 2 + shift) % 3 + 2
+    r = _example_rng(n, shift, h, k, s, p)
+    x = r.standard_normal((n, c, h, h))
+    w = r.standard_normal((c, 1, k, k))
+    b = r.standard_normal(c)
+    wb = block_diagonal_kernel(w)
+    diag = np.arange(c)
+    for opad in range(s):
+        d = tconv_out_dim(h, k, s, p, opad)
+        if d < 1:
+            continue
+        np.testing.assert_allclose(depthwise_tconv2d_forward(x, w, b, s, p, opad),
+                                   naive_tconv2d(x, wb, b, s, p, opad), atol=1e-12)
+        gy = r.standard_normal((n, c, d, d))
+        gx, gw, gb = kernels.depthwise_tconv2d_backward(x, w, gy, s, p, opad)
+        gx_dense, gw_dense, gb_dense = kernels.tconv2d_backward(x, wb, gy, s, p, opad)
+        np.testing.assert_allclose(gx, gx_dense, atol=1e-12)
+        np.testing.assert_allclose(gw[:, 0], gw_dense[diag, diag], atol=1e-12)
+        np.testing.assert_allclose(gb, gb_dense, atol=1e-12)
+    ho = conv_out_dim(h, k, s, p)
+    if ho < 1:
+        return
+    np.testing.assert_allclose(depthwise_conv2d_forward(x, w, b, s, p),
+                               naive_conv2d(x, wb, b, s, p), atol=1e-12)
+    gy = r.standard_normal((n, c, ho, ho))
+    gx, gw, gb = kernels.depthwise_conv2d_backward(x, w, gy, s, p)
+    gx_dense, gw_dense, gb_dense = kernels.conv2d_backward(x, wb, gy, s, p)
+    np.testing.assert_allclose(gx, gx_dense, atol=1e-12)
+    np.testing.assert_allclose(gw[:, 0], gw_dense[diag, diag], atol=1e-12)
+    np.testing.assert_allclose(gb, gb_dense, atol=1e-12)
+
+
 @pytest.mark.parametrize("depthwise", [False, True])
 def test_input_gradient_can_be_skipped(depthwise):
     x = rng.standard_normal((2, 3, 6, 6))
