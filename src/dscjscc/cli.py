@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .data import Dataset, DatasetError, load_dataset, synthetic_dataset
 from .metrics import evaluate_sweep, sweep_to_csv
 from .model import (VARIANT_ORDER, VARIANT_PATTERNS, CodecModel, VariantId,
                     build_variant_architecture)
-from .training import TrainConfig, history_to_csv, train
+from .training import TrainConfig, TrainingError, history_to_csv, train
 
 
 class ConfigError(ValueError):
@@ -79,6 +80,48 @@ def _int_field(section: dict, key: str, default: int | None, minimum: int, where
     raise ConfigError(f"{where}{key} must be an integer >= {minimum}, got {value!r}")
 
 
+def _real(value) -> float | None:
+    """A JSON number as a float, an int too large for one as +-inf; None for a bool or a non-number."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _float_field(section: dict, key: str, default: float, positive: bool) -> float:
+    """``section[key]`` as a real number (a bool is not one); ``default`` when absent.
+
+    NaN is never valid.  With ``positive`` the value must also be finite and
+    > 0; otherwise infinities pass (an infinite SNR is the noiseless channel).
+    """
+    if key not in section:
+        return default
+    value = section[key]
+    number = _real(value)
+    valid = number is not None and not math.isnan(number)
+    if positive:
+        valid = valid and math.isfinite(number) and number > 0
+    if valid:
+        return number
+    kind = "a finite number > 0" if positive else "a number (not NaN)"
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
+def _str_field(section: dict, key: str, default: str | None) -> str | None:
+    """``section[key]`` as a string; ``default`` when absent.
+
+    A null value counts as absent only where the default is None.
+    """
+    value = section.get(key)
+    if value is None and (key not in section or default is None):
+        return default
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key} must be a string, got {value!r}")
+
+
 def _parse_dataset(value) -> dict | None:
     if value is None:
         return None
@@ -92,9 +135,10 @@ def _parse_dataset(value) -> dict | None:
 
 
 def _parse_snr_list(value) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(type(s) in (int, float) for s in value):
+    snrs = [_real(s) for s in value] if isinstance(value, list) else [None]
+    if None in snrs:
         raise ConfigError(f"snr_list must be a list of numbers, got {value!r}")
-    return tuple(float(s) for s in value)
+    return tuple(snrs)
 
 
 def parse_rho(value) -> Fraction:
@@ -157,17 +201,17 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
         variant=variant,
         input_shape=input_shape,
         rho=rho, c=c, k=k,
-        power=float(raw.get("power", 1.0)),
-        train_snr_db=float(raw.get("train_snr_db", 10.0)),
+        power=_float_field(raw, "power", 1.0, positive=True),
+        train_snr_db=_float_field(raw, "train_snr_db", 10.0, positive=False),
         snr_list=snr_list,
-        learning_rate=float(raw.get("learning_rate", 0.001)),
+        learning_rate=_float_field(raw, "learning_rate", 0.001, positive=True),
         batch_size=_int_field(raw, "batch_size", 32, 1),
         epochs=_int_field(raw, "epochs", 20, 1),
         max_steps=_int_field(raw, "max_steps", None, 1),
         dataset=_parse_dataset(raw.get("dataset")),
         seed=_int_field(raw, "seed", 0, 0),
-        out_dir=str(raw.get("out_dir", ".")),
-        checkpoint=raw.get("checkpoint"),
+        out_dir=_str_field(raw, "out_dir", "."),
+        checkpoint=_str_field(raw, "checkpoint", None),
         draws_per_image=_int_field(raw, "draws_per_image", 1, 1),
     )
 
@@ -308,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
                 "train": cmd_train, "eval": cmd_eval}
     try:
         return handlers[args.command](args)
-    except (ConfigError, DatasetError, CheckpointError, ValueError, OSError) as e:
+    except (ConfigError, DatasetError, CheckpointError, TrainingError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

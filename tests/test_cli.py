@@ -1,12 +1,15 @@
 """CLI surface: subcommands, strict config parsing, golden outputs, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from dscjscc import cli
 from dscjscc.cli import (ConfigError, derive_bandwidth, main, parse_config,
                          parse_input_size, parse_rho)
+from dscjscc.training import TrainingError
 from test_checkpoint import rewrite_header
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,6 +128,15 @@ class TestConfigParsing:
         assert parsed.batch_size == 32
         assert parsed.epochs == 20
 
+    def test_infinite_snr_values_accepted(self, tmp_path):
+        # An infinite train SNR is the noiseless channel; an integer too large
+        # for a float reads as an infinity instead of overflowing.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"c": 8, "train_snr_db": math.inf, "snr_list": [-10 ** 400, 5]}))
+        parsed = parse_config(cfg)
+        assert parsed.train_snr_db == math.inf
+        assert parsed.snr_list == (-math.inf, 5.0)
+
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"c": 8, "seed": 5}))
@@ -230,6 +242,14 @@ class TestTrainEvalCommands:
         ("epochs", True, "epochs"),
         ("seed", True, "seed"),
         ("dataset", {"synthetic": {"count": True}}, "dataset.synthetic.count"),
+        ("learning_rate", [1], "learning_rate"),
+        ("learning_rate", True, "learning_rate"),
+        ("learning_rate", math.nan, "learning_rate"),
+        pytest.param("learning_rate", 10 ** 400, "learning_rate", id="learning_rate-huge-int"),
+        ("train_snr_db", math.nan, "train_snr_db"),
+        ("power", True, "power"),
+        ("checkpoint", 5, "checkpoint"),
+        ("out_dir", 5, "out_dir"),
     ])
     def test_malformed_config_value_nonzero_exit(self, capsys, tmp_path, key, value, message):
         cfg = {"variant": "baseline", "input_size": "16x16x3", "c": 4, "max_steps": 1,
@@ -241,6 +261,14 @@ class TestTrainEvalCommands:
         assert code == 1
         assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    def test_training_error_nonzero_exit(self, capsys, desk_config, monkeypatch):
+        def diverge(*_args):
+            raise TrainingError("non-finite loss nan at step 0")
+        monkeypatch.setattr(cli, "train", diverge)
+        code, _, err = run_cli(capsys, "train", "--config", str(desk_config[0]))
+        assert code == 1
+        assert err == "error: non-finite loss nan at step 0\n"
 
     def test_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

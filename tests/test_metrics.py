@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.data import synthetic_dataset
 from dscjscc.kernels import ShapeError
-from dscjscc.metrics import (PSNR_CAP_DB, _stream_seed, evaluate_sweep, mse_loss,
-                             mse_pixel_mean, psnr, sweep_to_csv)
+from dscjscc.metrics import (_DECODE_BATCH, PSNR_CAP_DB, _stream_seed, evaluate_sweep,
+                             mse_loss, mse_pixel_mean, psnr, sweep_to_csv)
 from dscjscc.model import CodecModel, VariantId, build_variant_architecture
 from oracles import naive_mse_sum_per_sample
 
@@ -134,3 +134,25 @@ class TestEvaluateSweep:
         rows = evaluate_sweep(model, data, snrs, draws_per_image=draws, seed=seed)
         assert len(encoded) == len(data)
         assert [(r.mean_psnr_db, r.std_psnr_db) for r in rows] == expected
+
+    def test_decodes_each_snr_point_in_slices_of_noisy_draws(self, model_and_data, monkeypatch):
+        model, data = model_and_data
+        snrs, draws, seed = [0.0, 19.0], 5, 6
+        n_rows = len(data) * draws
+        assert n_rows % _DECODE_BATCH  # a slice straddles two images
+        calls = []
+        real_decode = model.decode
+        monkeypatch.setattr(model, "decode", lambda z: calls.append(z.copy()) or real_decode(z))
+        evaluate_sweep(model, data, snrs, draws_per_image=draws, seed=seed)
+        per_snr = math.ceil(n_rows / _DECODE_BATCH)
+        assert len(calls) == len(snrs) * per_snr
+        assert all(len(z) <= _DECODE_BATCH for z in calls)
+        for si, snr_db in enumerate(snrs):
+            expected = []
+            for ii in range(len(data)):
+                ch = AwgnChannel(ChannelConfig(power=model.power, snr_db=snr_db,
+                                               seed=_stream_seed(seed, si, ii)))
+                z = model.encode(data.images[ii:ii + 1])
+                expected += [ch.transmit(z) for _ in range(draws)]
+            got = np.concatenate(calls[si * per_snr:(si + 1) * per_snr])
+            np.testing.assert_array_equal(got, np.concatenate(expected))

@@ -291,6 +291,18 @@ class TestCodec:
         img = rng.uniform(0, 255, size=(1, 3, 32, 32))
         assert m.decode(m.encode(img)).shape == img.shape
 
+    @pytest.mark.parametrize("variant", list(VARIANT_ORDER))
+    def test_decode_is_row_independent(self, variant):
+        # The sweep decodes many (image, draw) rows per call, so no row may
+        # depend on its neighbours or its position.  The 1x1 GEMMs are not
+        # bitwise batch-invariant, hence a tolerance rather than equality.
+        m = self._model(variant, size=16, c=4, seed=4)
+        z = m.encode(rng.uniform(0, 255, size=(5, 3, 16, 16)))
+        block = z + 0.3 * (rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape))
+        rows = np.concatenate([m.decode(block[i:i + 1]) for i in range(len(block))])
+        np.testing.assert_allclose(m.decode(block), rows, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.decode(block[::-1])[::-1], rows, rtol=0, atol=1e-12)
+
     def test_every_parameter_receives_gradient(self):
         m = self._model(size=16, seed=5)
         x = Tensor(rng.uniform(0, 255, size=(2, 3, 16, 16)))
