@@ -4,7 +4,7 @@ from .autodiff import AutodiffError, FiniteDiffReport, Tensor, finite_diff_check
 from .channel import AwgnChannel, ChannelConfig, awgn, rayleigh_slow_fading, sigma_from_snr
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .complexity import (ComplexityReport, layer_flops, layer_params, model_complexity,
-                         oracle_param_count, reduction_report)
+                         reduction_report)
 from .data import Dataset, DatasetError, center_crop, load_dataset, synthetic_dataset
 from .kernels import ShapeError
 from .metrics import evaluate_sweep, mse_loss, mse_pixel_mean, psnr
@@ -25,7 +25,7 @@ __all__ = [
     "default_base_architecture", "denormalize_pixels", "evaluate_sweep",
     "finite_diff_check", "gradcheck", "layer_flops", "layer_params", "load_checkpoint",
     "load_dataset", "model_complexity", "mse_loss", "mse_pixel_mean",
-    "normalize_pixels", "oracle_param_count", "psnr",
+    "normalize_pixels", "psnr",
     "rayleigh_slow_fading", "reduction_report", "reshape_to_complex", "save_checkpoint",
     "sigma_from_snr", "synthetic_dataset", "train",
 ]

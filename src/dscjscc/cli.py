@@ -135,9 +135,10 @@ def _parse_dataset(value) -> dict | None:
 
 
 def _parse_snr_list(value) -> tuple[float, ...]:
+    """A list of SNR points in dB; infinities pass (the noiseless channel), NaN never does."""
     snrs = [_real(s) for s in value] if isinstance(value, list) else [None]
-    if None in snrs:
-        raise ConfigError(f"snr_list must be a list of numbers, got {value!r}")
+    if None in snrs or any(math.isnan(s) for s in snrs):
+        raise ConfigError(f"snr_list must be a list of numbers (not NaN), got {value!r}")
     return tuple(snrs)
 
 
@@ -298,12 +299,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = parse_config(args.config, {"seed": args.seed, "out_dir": args.out})
+    snr_list = cfg.snr_list
+    if args.snr_list:
+        snr_list = _parse_snr_list([float(s) for s in args.snr_list.split(",")])
     ckpt = args.checkpoint or cfg.checkpoint or str(Path(cfg.out_dir) / "checkpoint.dscj")
     model = load_checkpoint(ckpt)
     data = _load_configured_dataset(cfg)
-    snr_list = cfg.snr_list
-    if args.snr_list:
-        snr_list = tuple(float(s) for s in args.snr_list.split(","))
     rows = evaluate_sweep(model, data, list(snr_list),
                           draws_per_image=cfg.draws_per_image, seed=cfg.seed)
     out_dir = Path(cfg.out_dir)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .model import (Activation, ArchitectureSpec, CodecModel, LayerSpec, VariantId,
+from .model import (Activation, ArchitectureSpec, LayerSpec, VariantId,
                     build_variant_architecture)
 
 
@@ -96,17 +96,6 @@ def reduction_report(a: VariantId, b: VariantId,
     dp = 100.0 * (ra.total_params - rb.total_params) / ra.total_params
     df = 100.0 * (ra.total_flops - rb.total_flops) / ra.total_flops
     return dp, df
-
-
-def oracle_param_count(model: CodecModel) -> int:
-    """Brute-force scalar count over every instantiated parameter tensor."""
-    total = 0
-    for tensor in model.params.values():
-        count = 0
-        for _ in tensor.data.flat:
-            count += 1
-        total += count
-    return total
 
 
 def format_table(reports: list[ComplexityReport]) -> str:

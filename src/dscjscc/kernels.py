@@ -21,21 +21,31 @@ and upstream swapped.
 Depthwise layers run batch-innermost: ``_cols`` pads the input once into
 (H, W, C, N) memory and returns a strided (Ho, Wo, C, N, k, k) window view
 of it, which the forward and weight-gradient ``einsum`` calls read without a
-copy, and the adjoint scatters (H, W, C, N) stamps into an (H, W, C, N) grid.
-Every tap then reads long contiguous (C, N) runs.  Batch-outermost
-(N, C, Ho, Wo, k, k) patches had runs one output row long, 8 elements in the
-8x8 middle layers, and ``einsum(optimize=True)`` copied them (27 MB for a
-stride-2 32x16x32x32 layer): the four depthwise kernels of a batch-32 train
-step took about twice as long.
+copy, and the adjoint's stamps are (H, W, C, N) too.  Every tap then reads
+long contiguous (C, N) runs.  Batch-outermost (N, C, Ho, Wo, k, k) patches
+had runs one output row long, 8 elements in the 8x8 middle layers, and
+``einsum(optimize=True)`` copied them (27 MB for a stride-2 32x16x32x32
+layer): the four depthwise kernels of a batch-32 train step took about
+twice as long.
 
-The input-adjoint is one scatter loop: every upstream pixel adds its weighted
-k x k kernel into a strided grid, one strided add per tap, through
-spatial-first (H, W, C, N) views for both kernel kinds.  A dense kernel's
-stamps come tap-major from one GEMM, as a (k, k, C, N, Ho, Wo) block over an
-(N, C, H, W) grid, so each add reads one contiguous slab.  The layout
-matters: read pixel-major, as rows of C*k*k taps, every stamp is a view with
-an innermost stride of C*k*k elements, and at batch 32 the 5x5 adjoints ran
-2-3x slower.
+The input-adjoint gathers per output phase.  A stride-s transposed
+convolution splits into s*s stride-1 sums, one per output phase: the rows
+and columns that share an offset modulo s, each fed by the taps whose offset
+matches (sub-pixel convolution: Shi et al., arXiv:1609.05158 and
+arXiv:1609.07009).  Each phase is built as one contiguous block from the
+in-range slices of its taps' stamps and written once into its strided slots
+of the output, so no padded grid is zeroed, cropped or updated through
+strided read-modify-write adds, and every output is the same sum, in the
+same (i, j) tap order, as scattering all k*k stamps into a zeroed padded
+grid gives.  Against that scatter, at batch 32 on one CPU, the last decoder
+layer's stride-2 depthwise tconv (16 channels, 16x16 to 32x32) took 13.8 ms
+instead of 23.4, and the dense stride-2 ones 10-14 % less.  A dense kernel's
+stamps come tap-major from one GEMM, as a (k, k, C, N, Ho, Wo) block, so
+each add reads one contiguous slab; read pixel-major, as rows of C*k*k taps,
+every stamp had an innermost stride of C*k*k elements, and at batch 32 the
+5x5 adjoints ran 2-3x slower.  A dense stride-1 adjoint whose ``gy`` has few
+enough channels is instead the convolution of ``gy`` with the flipped kernel
+(see ``_conv_input_adjoint``).
 """
 
 from __future__ import annotations
@@ -136,46 +146,100 @@ def _conv(cols: np.ndarray, w: np.ndarray, shape: tuple[int, int, int], depthwis
     return np.ascontiguousarray(y.reshape(*shape, -1).transpose(0, 3, 1, 2))
 
 
+def _phase_taps(size: int, gsize: int, k: int, stride: int,
+                padding: int) -> list[tuple[int, int, list[tuple[int, slice, slice]]]]:
+    """For one spatial axis: each output phase's origin, length and taps.
+
+    Phase ``r0`` holds outputs ``r0::stride``; a tap ``i`` lands on it when
+    ``r0 + padding - i`` is a multiple of the stride, and is listed, in
+    ascending order, with the block rows it adds to and the ``gy`` rows it
+    reads (tap ``i`` feeds output ``r`` from ``gy`` row ``(r + padding - i) / stride``).
+    """
+    phases = []
+    for r0 in range(min(stride, size)):
+        count = len(range(r0, size, stride))
+        taps = []
+        for i in range((r0 + padding) % stride, k, stride):
+            d = (r0 + padding - i) // stride
+            lo, hi = max(0, -d), min(count, gsize - d)
+            if lo < hi:
+                taps.append((i, slice(lo, hi), slice(lo + d, hi + d)))
+        phases.append((r0, count, taps))
+    return phases
+
+
 def _conv_input_adjoint(gy: np.ndarray, w: np.ndarray, stride: int, padding: int,
                         size: tuple[int, int], depthwise: bool) -> np.ndarray:
     """Adjoint of ``_conv`` with respect to its (H, W) = ``size`` input.
 
-    Every pixel of ``gy`` adds its weighted k x k stamp into the strided,
-    padded input grid; the padding is cropped off at the end.  The one
-    scatter loop indexes spatial-first (H, W, C, N) views of the grid and of
-    the stamps, for both kernel kinds; numpy runs each in-place add in the
-    grid's memory order, so the views only fix the indexing.
+    Gather form: output phase (y0, x0), rows ``y0::stride`` and columns
+    ``x0::stride``, is one contiguous (ny, nx, C, N) block to which every tap
+    landing on it adds the in-range slice of its stamp, taps in (i, j) order;
+    the block is then written once into its strided slots of the NCHW output
+    (at stride 1 the one phase is the output itself).  A block starts as
+    zeros, or as ``stamp + 0.0`` when its first tap covers all of it, so each
+    output is bitwise the sum a zeroed padded grid would accumulate.
 
-    Depthwise: grid and ``gy`` live in batch-innermost (H, W, C, N) memory,
-    and each stamp is ``gy`` times one tap of every channel's kernel, so each
-    add walks contiguous (C, N) runs.  Dense: the stamps come tap-major from
-    one GEMM, the (k*k*C, Cout) kernel times ``gy`` as (Cout, N*Ho*Wo), and
-    the grid stays in (N, C, H, W) memory, so each add reads one contiguous
-    (C, N, Ho, Wo) slab of the (k, k, C, N, Ho, Wo) result.  Storing the
-    dense grid channel-major moved where the allocator placed the large
-    temporaries and raised the peak resident set of a batch-32 train step by
-    about 6 %.
+    Depthwise: each stamp is ``gy`` in batch-innermost (H, W, C, N) memory
+    times one tap of every channel's kernel, and the blocks are (H, W, C, N)
+    memory too.  Dense: the stamps come tap-major from one GEMM, the
+    (k*k*C, Cout) kernel times ``gy`` as (Cout, N*Ho*Wo), each a contiguous
+    (C, N, Ho, Wo) slab of the (k, k, C, N, Ho, Wo) result, and the blocks
+    share that (C, N) memory order.
+
+    A dense stride-1 adjoint with padding < k is also the convolution of
+    ``gy``, padded by k - 1 - padding, with the flipped kernel read as
+    (C, Cout, k, k).  That form is taken when its im2col block and output,
+    k*k*Cout + C values per pixel, are smaller than the k*k*C stamps, which
+    for k = 5 means Cout < 0.96 C.  A pointwise adjoint never takes it; its
+    one stamp is written to the output in a single pass.  The flipped form
+    sums in another order, so it matches the gather form to rounding, not
+    bitwise.  At batch 32 it took the 8 -> 32 channel 8x8 tconv from 10.7
+    to 3.2 ms and the 32 <- 8 input gradient from 8.4 to 2.4 ms; for
+    pointwise layers the one-pass stamp was faster (32 <- 16 at 16x16: 1.03
+    against 1.38 ms).  At stride 2 the stamps stay: one im2col GEMM per
+    phase took 19.7 ms against 7.1 for the 32 -> 16 tconv and 26.6 against
+    3.9 for the 16 -> 3 one.
     """
-    n, _, ho, wo = gy.shape
+    n, cout, ho, wo = gy.shape
     k = w.shape[2]
     h, wd = size
-    hp, wp = h + 2 * padding, wd + 2 * padding
     dtype = np.result_type(gy, w)
+    c = w.shape[0] if depthwise else w.shape[1]
     if depthwise:
-        c = w.shape[0]
         gyt = _hwcn(gy)
         taps = np.repeat(w[:, 0].transpose(1, 2, 0)[..., None], n, axis=3)  # (k, k, C, N)
-        grid = np.zeros((hp, wp, c, n), dtype=dtype)
+    elif stride == 1 and padding < k and k * k * cout + c < k * k * c:
+        return _conv(_cols(gy, k, 1, k - 1 - padding, False), w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                     (n, h, wd), False)
     else:
-        cout, c = w.shape[:2]
         gcol = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.transpose(1, 0, 2, 3).reshape(cout, -1))
         gcol = gcol.reshape(k, k, c, n, ho, wo).transpose(0, 1, 4, 5, 2, 3)
-        grid = np.zeros((n, c, hp, wp), dtype=dtype).transpose(2, 3, 1, 0)
-    for i in range(k):
-        for j in range(k):
-            stamp = gyt * taps[i, j] if depthwise else gcol[i, j]
-            grid[i:i + stride * ho:stride, j:j + stride * wo:stride] += stamp
-    return np.ascontiguousarray(grid[padding:padding + h, padding:padding + wd].transpose(3, 2, 0, 1))
+    out = np.empty((n, c, h, wd), dtype=dtype)
+    spatial = out.transpose(2, 3, 1, 0)  # (H, W, C, N) view of the NCHW output
+    cols = _phase_taps(wd, wo, k, stride, padding)
+    for y0, ny, ytaps in _phase_taps(h, ho, k, stride, padding):
+        for x0, nx, xtaps in cols:
+            if depthwise:
+                block = np.empty((ny, nx, c, n), dtype=dtype)
+            elif stride == 1:
+                block = spatial
+            else:
+                block = np.empty((c, n, ny, nx), dtype=dtype).transpose(2, 3, 0, 1)
+            landing = [((i, j), (by, bx), (gy_rows, gy_cols))
+                       for i, by, gy_rows in ytaps for j, bx, gy_cols in xtaps]
+            zeroed = not landing or landing[0][1] != (slice(0, ny), slice(0, nx))
+            if zeroed:
+                block.fill(0.0)
+            for t, (tap, dst, src) in enumerate(landing):
+                stamp = gyt[src] * taps[tap] if depthwise else gcol[tap + src]
+                if t == 0 and not zeroed:
+                    np.add(stamp, 0.0, out=block)  # 0 + stamp: a -0.0 stamp gives +0.0, as in a zeroed block
+                else:
+                    block[dst] += stamp
+            if block is not spatial:
+                spatial[y0::stride, x0::stride] = block
+    return out
 
 
 def _conv_weight_grad(cols: np.ndarray, gy: np.ndarray, w_shape: tuple[int, ...],
@@ -290,12 +354,10 @@ def prelu_backward(x: np.ndarray, slopes: np.ndarray, gy: np.ndarray) -> tuple[n
 
 
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # one branch-free pass: x >= 0 gives 1 / (1 + e^-x) and x < 0 gives e^x / (1 + e^x);
+    # min(x, -x) is -|x|, so exp never overflows, and it keeps a NaN's sign bit
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_backward(y: np.ndarray, gy: np.ndarray) -> np.ndarray:

@@ -62,6 +62,17 @@ def block_diagonal_kernel(w_depthwise):
     return w
 
 
+def oracle_param_count(model):
+    """Brute-force scalar count over every instantiated parameter tensor."""
+    total = 0
+    for tensor in model.params.values():
+        count = 0
+        for _ in tensor.data.flat:
+            count += 1
+        total += count
+    return total
+
+
 def naive_mse_sum_per_sample(x, xhat):
     """Batch mean of per-sample squared-error sums via explicit loops."""
     n = x.shape[0]

@@ -17,13 +17,13 @@ from dscjscc.autodiff import DIFFERENTIABLE_OPS, Tensor, finite_diff_check
 from dscjscc.channel import ChannelConfig, awgn
 from dscjscc.cli import main
 from dscjscc.complexity import (architecture_complexity, layer_params,
-                                model_complexity, oracle_param_count,
-                                reduction_report)
+                                model_complexity, reduction_report)
 from dscjscc.data import synthetic_dataset
 from dscjscc.metrics import evaluate_sweep
 from dscjscc.model import (VARIANT_ORDER, Activation, CodecModel, LayerKind, LayerSpec,
                            VariantId, build_variant_architecture, init_layer_params)
 from dscjscc.training import TrainConfig, smoothed_endpoints, train
+from oracles import oracle_param_count
 
 GOLDEN = Path(__file__).parent / "golden"
 

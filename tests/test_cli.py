@@ -250,6 +250,7 @@ class TestTrainEvalCommands:
         ("power", True, "power"),
         ("checkpoint", 5, "checkpoint"),
         ("out_dir", 5, "out_dir"),
+        ("snr_list", [math.nan], "snr_list"),
     ])
     def test_malformed_config_value_nonzero_exit(self, capsys, tmp_path, key, value, message):
         cfg = {"variant": "baseline", "input_size": "16x16x3", "c": 4, "max_steps": 1,
@@ -261,6 +262,14 @@ class TestTrainEvalCommands:
         assert code == 1
         assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    def test_nan_snr_flag_nonzero_exit(self, capsys, desk_config):
+        cfg, out_dir = desk_config
+        assert run_cli(capsys, "train", "--config", str(cfg))[0] == 0
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg), "--snr-list", "nan,5")
+        assert code == 1
+        assert err.startswith("error:") and "snr_list" in err and err.count("\n") == 1
+        assert not (out_dir / "sweep.csv").exists()
 
     def test_training_error_nonzero_exit(self, capsys, desk_config, monkeypatch):
         def diverge(*_args):

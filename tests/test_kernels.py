@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dscjscc import autodiff as ad
@@ -197,6 +197,18 @@ class TestActivations:
         x = rng.standard_normal((2, 3, 4, 4))
         np.testing.assert_allclose(sigmoid_forward(-x), 1.0 - sigmoid_forward(x), atol=1e-12)
 
+    def test_sigmoid_equals_two_branch_formula_bitwise(self):
+        x = rng.standard_normal((16, 3, 32, 32)) * 20
+        x.flat[:8] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1000.0, -1000.0]
+        pos = x >= 0
+        expected = np.empty_like(x)
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        np.testing.assert_array_equal(sigmoid_forward(x).view(np.int64), expected.view(np.int64))
+        with np.errstate(over="raise", invalid="raise"):
+            assert sigmoid_forward(np.array([[[[1000.0, -1000.0]]]])).tolist() == [[[[1.0, 0.0]]]]
+
 
 # ---------------------------------------------------------------------------
 # randomized shape-formula properties
@@ -338,6 +350,43 @@ def test_depthwise_kernels_match_block_diagonal_dense(n, shift, h, k, s, p):
     np.testing.assert_allclose(gx, gx_dense, atol=1e-12)
     np.testing.assert_allclose(gw[:, 0], gw_dense[diag, diag], atol=1e-12)
     np.testing.assert_allclose(gb, gb_dense, atol=1e-12)
+
+
+@given(st.integers(1, 2), st.integers(2, 4), st.sampled_from([-1, 0, 1]), st.integers(1, 5),
+       st.integers(1, 5), st.integers(1, 4), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+@example(n=2, c=4, more=-1, h=4, k=3, s=1, p=1)  # the flipped-kernel route
+@example(n=2, c=3, more=-1, h=3, k=2, s=1, p=3)  # padding >= k: the route steps aside
+@example(n=1, c=2, more=1, h=1, k=1, s=4, p=0)  # three of four phases get no tap
+@example(n=2, c=2, more=0, h=2, k=5, s=3, p=2)
+def test_input_adjoint_matches_oracle_at_every_stride(n, c, more, h, k, s, p):
+    # strides up to 4, inputs smaller than the stride (output phases with no
+    # taps, or no outputs at all), padding >= k (the flipped-kernel route must
+    # step aside) and gy with fewer, as many or more channels than the output
+    cg = c + more
+    r = _example_rng(n, c, more, h, k, s, p)
+    x = r.standard_normal((n, cg, h, h))
+    wt = r.standard_normal((cg, c, k, k))
+    xd = r.standard_normal((n, c, h, h))
+    wd = r.standard_normal((c, 1, k, k))
+    for opad in range(s):
+        if tconv_out_dim(h, k, s, p, opad) >= 1:
+            np.testing.assert_allclose(tconv2d_forward(x, wt, None, s, p, opad),
+                                       naive_tconv2d(x, wt, None, s, p, opad), atol=1e-12)
+            np.testing.assert_allclose(depthwise_tconv2d_forward(xd, wd, None, s, p, opad),
+                                       naive_tconv2d(xd, block_diagonal_kernel(wd), None, s, p, opad),
+                                       atol=1e-12)
+    ho = conv_out_dim(h, k, s, p)
+    if ho < 1:
+        return
+    opad = h - tconv_out_dim(ho, k, s, p, 0)  # the conv's input rows its last window leaves unread
+    gy = r.standard_normal((n, cg, ho, ho))
+    gx = kernels.conv2d_backward(xd, wt, gy, s, p)[0]
+    np.testing.assert_allclose(gx, naive_tconv2d(gy, wt, None, s, p, opad), atol=1e-12)
+    gy = r.standard_normal((n, c, ho, ho))
+    gx = kernels.depthwise_conv2d_backward(xd, wd, gy, s, p)[0]
+    np.testing.assert_allclose(gx, naive_tconv2d(gy, block_diagonal_kernel(wd), None, s, p, opad),
+                               atol=1e-12)
 
 
 @pytest.mark.parametrize("depthwise", [False, True])
