@@ -7,11 +7,10 @@ from .complexity import (ComplexityReport, layer_flops, layer_params, model_comp
                          reduction_report)
 from .data import Dataset, DatasetError, center_crop, load_dataset, synthetic_dataset
 from .kernels import ShapeError
-from .metrics import evaluate_sweep, mse_loss, mse_pixel_mean, psnr
+from .metrics import evaluate_sweep, mse_pixel_mean, psnr
 from .model import (Activation, ArchitectureSpec, CodecModel, LayerKind, LayerSpec,
                     VariantId, build_variant, build_variant_architecture,
-                    default_base_architecture, denormalize_pixels, normalize_pixels,
-                    reshape_to_complex)
+                    default_base_architecture, denormalize_pixels, normalize_pixels)
 from .training import Adam, TrainConfig, TrainResult, TrainingError, train
 
 __version__ = "0.1.0"
@@ -24,8 +23,8 @@ __all__ = [
     "awgn", "build_variant", "build_variant_architecture", "center_crop",
     "default_base_architecture", "denormalize_pixels", "evaluate_sweep",
     "finite_diff_check", "gradcheck", "layer_flops", "layer_params", "load_checkpoint",
-    "load_dataset", "model_complexity", "mse_loss", "mse_pixel_mean",
+    "load_dataset", "model_complexity", "mse_pixel_mean",
     "normalize_pixels", "psnr",
-    "rayleigh_slow_fading", "reduction_report", "reshape_to_complex", "save_checkpoint",
+    "rayleigh_slow_fading", "reduction_report", "save_checkpoint",
     "sigma_from_snr", "synthetic_dataset", "train",
 ]

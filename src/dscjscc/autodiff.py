@@ -6,7 +6,9 @@ upstream gradient) walks the recorded graph in reverse topological order and
 accumulates gradients into every leaf created with ``requires_grad=True``.
 
 Only the operations the codec needs exist here; there is no broadcasting
-beyond per-channel parameters.
+beyond per-channel parameters.  Convolution and activation nodes take and
+give batch-innermost (C, H, W, N) arrays, the layout of ``kernels``;
+``transpose`` converts at the model's edges.
 """
 
 from __future__ import annotations
@@ -175,6 +177,12 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(x.data.reshape(shape), (x,), lambda gy: (gy.reshape(x.data.shape),))
 
 
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """``x`` with its axes permuted, as a view; the gradient takes the inverse permutation."""
+    inverse = tuple(np.argsort(axes))
+    return _node(x.data.transpose(axes), (x,), lambda gy: (gy.transpose(inverse),))
+
+
 def power_normalize(x: Tensor, k: int, power: float) -> Tensor:
     """Rescale each batch row of a real (N, 2k) tensor to squared norm k*power.
 
@@ -282,7 +290,7 @@ def _trial_config(op: str, rng: np.random.Generator) -> tuple[Callable[[dict[str
     k = int(rng.integers(1, 4))
     stride = int(rng.integers(1, 3))
     padding = int(rng.integers(0, k))
-    x = rng.standard_normal((n, c, h, h))
+    x = rng.standard_normal((c, h, h, n))  # (C, H, W, N), the kernels' layout
     if op == "conv2d":
         cout = int(rng.integers(1, 4))
         w = rng.standard_normal((cout, c, k, k)) * 0.5
@@ -329,6 +337,9 @@ def _trial_config(op: str, rng: np.random.Generator) -> tuple[Callable[[dict[str
         z = rng.standard_normal((n, m)) + 0.1
         kk, p = m // 2, float(rng.uniform(0.5, 2.0))
         return _weighted(lambda t: power_normalize(t["z"], kk, p), {"z": z}, rng)
+    if op == "transpose":
+        axes = tuple(int(a) for a in rng.permutation(4))
+        return _weighted(lambda t: transpose(t["x"], axes), {"x": x}, rng)
     if op == "mse_mean":
         y = rng.standard_normal(x.shape)
         return (lambda t: mse_mean(t["a"], t["b"]), {"a": x, "b": y})
@@ -336,7 +347,8 @@ def _trial_config(op: str, rng: np.random.Generator) -> tuple[Callable[[dict[str
 
 
 DIFFERENTIABLE_OPS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "tconv2d",
-                      "depthwise_tconv2d", "prelu", "sigmoid", "power_normalize", "mse_mean")
+                      "depthwise_tconv2d", "prelu", "sigmoid", "power_normalize", "mse_mean",
+                      "transpose")
 
 
 def finite_diff_check(op: str, trials: int = 10, seed: int = 0, step: float = 1e-4) -> FiniteDiffReport:

@@ -143,7 +143,11 @@ def load_checkpoint(path: str | Path) -> CodecModel:
         channel_count=_field(adict, "channel_count", int, arch_where),
         latent_dims=_int_tuple(adict, "latent_dims", arch_where),
     )
-    rho = Fraction(_field(header, "rho", str, where))
+    rho_text = _field(header, "rho", str, where)
+    try:
+        rho = Fraction(rho_text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise CheckpointError(f"{where} field 'rho' is not a fraction: {rho_text!r}") from e
     if rho != arch.rho:
         raise CheckpointError(f"{path}: header rho {rho} disagrees with architecture ({arch.rho})")
     variant_name = _field(header, "variant", (str, type(None)), where)
@@ -159,4 +163,7 @@ def load_checkpoint(path: str | Path) -> CodecModel:
         count = int(np.prod(dims)) if dims else 1
         arr = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
         params[name] = arr.astype(np.float64)
-    return CodecModel(arch, variant=variant, power=power, params=params)
+    try:
+        return CodecModel(arch, variant=variant, power=power, params=params)
+    except ValueError as e:  # a bad power or a parameter that does not fit the architecture
+        raise CheckpointError(f"{path}: {e}") from e

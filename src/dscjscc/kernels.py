@@ -1,8 +1,14 @@
-"""NCHW convolution kernels built on one convolution and its two adjoints.
+"""Convolution kernels on batch-innermost (C, H, W, N) activations.
 
 Everything here operates on plain float64 numpy arrays; the graph layer in
 ``autodiff`` wraps these into differentiable nodes.  Convolution semantics are
 cross-correlation (no kernel flip), the universal deep-learning convention.
+
+Every activation, input, output and gradient alike, is a (C, H, W, N) array:
+channels outermost, the batch innermost, and every kernel output is
+C-contiguous in that order.  The codec converts its images to this layout
+once, at the encoder input, and back at the latent and the decoder output
+(see ``model``); no kernel converts.
 
 Weight layouts:
     standard conv        (Cout, Cin, K, K)
@@ -18,15 +24,19 @@ convolution (Dumoulin & Visin, arXiv:1603.07285), so its backward pass is the
 convolution itself, and its weight gradient is the convolution's with input
 and upstream swapped.
 
-Depthwise layers run batch-innermost: ``_cols`` pads the input once into
-(H, W, C, N) memory and returns a strided (Ho, Wo, C, N, k, k) window view
-of it, which the forward and weight-gradient ``einsum`` calls read without a
-copy, and the adjoint's stamps are (H, W, C, N) too.  Every tap then reads
-long contiguous (C, N) runs.  Batch-outermost (N, C, Ho, Wo, k, k) patches
-had runs one output row long, 8 elements in the 8x8 middle layers, and
-``einsum(optimize=True)`` copied them (27 MB for a stride-2 32x16x32x32
-layer): the four depthwise kernels of a batch-32 train step took about
-twice as long.
+In this layout every dense kernel is one GEMM on a channel-major matrix.  A
+dense conv is W(Cout, C*k*k) @ cols(C*k*k, Ho*Wo*N), and the product is
+already the (C, H, W, N) output; a pointwise conv's cols are the input
+itself, reshaped without a copy (MobileNets, arXiv:1704.04861, runs its 1x1
+layers the same way).  The weight gradient is gy(Cout, Ho*Wo*N) @ cols.T, and
+the input adjoint's stamps are W.T @ gy.  Depthwise taps read a strided
+(C, Ho, Wo, N) window view of the padded input, whose rows are runs of Wo*N
+contiguous values at stride 1.  The layout replaced NCHW between layers, with
+(H, W, C, N) copies inside the depthwise kernels and (N*Ho*Wo, C*k*k) im2col
+rows inside the dense ones, so that each kernel converted its input and its
+output.  On one CPU, the kernel calls of one batch-32 forward and backward
+pass of all ten layers took 108 instead of 153 ms on dsc-jscc-100 and 135
+instead of 182 ms on the baseline.
 
 The input-adjoint gathers per output phase.  A stride-s transposed
 convolution splits into s*s stride-1 sums, one per output phase: the rows
@@ -35,17 +45,9 @@ matches (sub-pixel convolution: Shi et al., arXiv:1609.05158 and
 arXiv:1609.07009).  Each phase is built as one contiguous block from the
 in-range slices of its taps' stamps and written once into its strided slots
 of the output, so no padded grid is zeroed, cropped or updated through
-strided read-modify-write adds, and every output is the same sum, in the
-same (i, j) tap order, as scattering all k*k stamps into a zeroed padded
-grid gives.  Against that scatter, at batch 32 on one CPU, the last decoder
-layer's stride-2 depthwise tconv (16 channels, 16x16 to 32x32) took 13.8 ms
-instead of 23.4, and the dense stride-2 ones 10-14 % less.  A dense kernel's
-stamps come tap-major from one GEMM, as a (k, k, C, N, Ho, Wo) block, so
-each add reads one contiguous slab; read pixel-major, as rows of C*k*k taps,
-every stamp had an innermost stride of C*k*k elements, and at batch 32 the
-5x5 adjoints ran 2-3x slower.  A dense stride-1 adjoint whose ``gy`` has few
-enough channels is instead the convolution of ``gy`` with the flipped kernel
-(see ``_conv_input_adjoint``).
+strided read-modify-write adds.  A stride-1 adjoint is instead, where it is
+cheaper, the convolution of ``gy`` with the flipped kernel (see
+``_conv_input_adjoint``).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _validate(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, strid
     ``output_padding`` is None for a convolution and an int for a transposed one.
     """
     if x.ndim != 4 or min(x.shape) < 1:
-        raise ShapeError(f"{op}: input must be rank 4 (N,C,H,W) with dims >= 1, got shape {x.shape}")
+        raise ShapeError(f"{op}: input must be rank 4 (C,H,W,N) with dims >= 1, got shape {x.shape}")
     if w.ndim != 4 or w.shape[2] != w.shape[3] or min(w.shape) < 1:
         raise ShapeError(f"{op}: kernel weights must be rank 4 with square K x K taps "
                          f"and dims >= 1, got shape {w.shape}")
@@ -82,7 +84,7 @@ def _validate(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, strid
     if transposed and not 0 <= output_padding < stride:
         raise ShapeError(f"{op}: output_padding must satisfy 0 <= output_padding < stride, "
                          f"got output_padding={output_padding}, stride={stride}")
-    _, c, h, wd = x.shape
+    c, h, wd, _ = x.shape
     k = w.shape[2]
     if depthwise:
         if w.shape[1] != 1:
@@ -109,41 +111,30 @@ def _validate(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, strid
 # the shared core
 # ---------------------------------------------------------------------------
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    # (N,C,H,W) -> (N*H*W, C), one row per pixel
-    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).reshape(-1, a.shape[1])
-
-
 def _cols(x: np.ndarray, k: int, stride: int, padding: int, depthwise: bool) -> np.ndarray:
-    """Patches of the padded input.
+    """Patches of the padded (C, H, W, N) input.
 
-    Dense: the (N*Ho*Wo, C*k*k) im2col matrix.  Depthwise: a strided
-    (Ho, Wo, C, N, k, k) view of the input, padded once into batch-innermost
-    (H, W, C, N) memory; read-only, never written to and never copied.
+    Depthwise: a strided (C, Ho, Wo, N, k, k) window view, read-only, never
+    written to and never copied.  Dense: the (C*k*k, Ho*Wo*N) im2col matrix,
+    which for an unpadded stride-1 1x1 kernel is ``x`` itself, reshaped.
     """
-    if depthwise:
-        n, c, h, wd = x.shape
-        xp = np.zeros((h + 2 * padding, wd + 2 * padding, c, n), dtype=x.dtype)
-        xp[padding:padding + h, padding:padding + wd] = x.transpose(2, 3, 1, 0)
-        return np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))[::stride, ::stride]
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    pt = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, c, ho, wo = pt.shape[:4]
-    return np.ascontiguousarray(pt.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * k * k)
-
-
-def _hwcn(a: np.ndarray) -> np.ndarray:
-    # (N,C,H,W) -> batch-innermost (H,W,C,N) memory
-    return np.ascontiguousarray(a.transpose(2, 3, 1, 0))
+        c, h, wd, n = x.shape
+        xp = np.zeros((c, h + 2 * padding, wd + 2 * padding, n), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + wd] = x
+        x = xp
+    pt = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    if depthwise:
+        return pt
+    c, ho, wo, n = pt.shape[:4]
+    return np.ascontiguousarray(pt.transpose(0, 4, 5, 1, 2, 3)).reshape(c * k * k, ho * wo * n)
 
 
 def _conv(cols: np.ndarray, w: np.ndarray, shape: tuple[int, int, int], depthwise: bool) -> np.ndarray:
-    """Convolve the patches ``cols`` with a (Cout, Cin, k, k) kernel; ``shape`` is the output (N, Ho, Wo)."""
+    """Convolve the patches ``cols`` with a (Cout, Cin, k, k) kernel; ``shape`` is the output (Ho, Wo, N)."""
     if depthwise:
-        return np.ascontiguousarray(np.einsum("hwcnij,cij->hwcn", cols, w[:, 0]).transpose(3, 2, 0, 1))
-    y = cols @ w.reshape(w.shape[0], -1).T
-    return np.ascontiguousarray(y.reshape(*shape, -1).transpose(0, 3, 1, 2))
+        return np.einsum("chwnij,cij->chwn", cols, w[:, 0])
+    return (w.reshape(w.shape[0], -1) @ cols).reshape(-1, *shape)
 
 
 def _phase_taps(size: int, gsize: int, k: int, stride: int,
@@ -172,73 +163,46 @@ def _conv_input_adjoint(gy: np.ndarray, w: np.ndarray, stride: int, padding: int
                         size: tuple[int, int], depthwise: bool) -> np.ndarray:
     """Adjoint of ``_conv`` with respect to its (H, W) = ``size`` input.
 
-    Gather form: output phase (y0, x0), rows ``y0::stride`` and columns
-    ``x0::stride``, is one contiguous (ny, nx, C, N) block to which every tap
-    landing on it adds the in-range slice of its stamp, taps in (i, j) order;
-    the block is then written once into its strided slots of the NCHW output
-    (at stride 1 the one phase is the output itself).  A block starts as
-    zeros, or as ``stamp + 0.0`` when its first tap covers all of it, so each
-    output is bitwise the sum a zeroed padded grid would accumulate.
+    A stride-1 adjoint with padding < k is the convolution of ``gy``, padded
+    by k - 1 - padding, with the flipped kernel (read as (C, Cout, k, k) when
+    dense).  It is taken for every depthwise layer and for a dense one whose
+    im2col block is smaller than the k*k*C stamps it replaces, which for
+    k = 5 means Cout < C; a pointwise layer's cols are ``gy`` itself, so its
+    adjoint is the one GEMM W.T @ gy.  At batch 32 on one CPU the 32-channel
+    8x8 depthwise tconv took 2.3 ms this way against 4.4 in gather form.
 
-    Depthwise: each stamp is ``gy`` in batch-innermost (H, W, C, N) memory
-    times one tap of every channel's kernel, and the blocks are (H, W, C, N)
-    memory too.  Dense: the stamps come tap-major from one GEMM, the
-    (k*k*C, Cout) kernel times ``gy`` as (Cout, N*Ho*Wo), each a contiguous
-    (C, N, Ho, Wo) slab of the (k, k, C, N, Ho, Wo) result, and the blocks
-    share that (C, N) memory order.
-
-    A dense stride-1 adjoint with padding < k is also the convolution of
-    ``gy``, padded by k - 1 - padding, with the flipped kernel read as
-    (C, Cout, k, k).  That form is taken when its im2col block and output,
-    k*k*Cout + C values per pixel, are smaller than the k*k*C stamps, which
-    for k = 5 means Cout < 0.96 C.  A pointwise adjoint never takes it; its
-    one stamp is written to the output in a single pass.  The flipped form
-    sums in another order, so it matches the gather form to rounding, not
-    bitwise.  At batch 32 it took the 8 -> 32 channel 8x8 tconv from 10.7
-    to 3.2 ms and the 32 <- 8 input gradient from 8.4 to 2.4 ms; for
-    pointwise layers the one-pass stamp was faster (32 <- 16 at 16x16: 1.03
-    against 1.38 ms).  At stride 2 the stamps stay: one im2col GEMM per
-    phase took 19.7 ms against 7.1 for the 32 -> 16 tconv and 26.6 against
-    3.9 for the 16 -> 3 one.
+    Otherwise, gather form: output phase (y0, x0), rows ``y0::stride`` and
+    columns ``x0::stride``, is one zeroed (C, ny, nx, N) block to which every
+    tap landing on it adds the in-range slice of its stamp, taps in (i, j)
+    order; the block is then written once into its strided slots of the
+    output (at stride 1 the one phase is the output itself).  Depthwise, each
+    stamp is a slice of ``gy`` times one tap of every channel's kernel.
+    Dense, the stamps come tap-major from one GEMM, the (k*k*C, Cout) kernel
+    times ``gy`` as (Cout, Ho*Wo*N), each a contiguous (C, Ho, Wo, N) slab of
+    the (k, k, C, Ho, Wo, N) result.
     """
-    n, cout, ho, wo = gy.shape
+    cout, ho, wo, n = gy.shape
     k = w.shape[2]
     h, wd = size
-    dtype = np.result_type(gy, w)
     c = w.shape[0] if depthwise else w.shape[1]
-    if depthwise:
-        gyt = _hwcn(gy)
-        taps = np.repeat(w[:, 0].transpose(1, 2, 0)[..., None], n, axis=3)  # (k, k, C, N)
-    elif stride == 1 and padding < k and k * k * cout + c < k * k * c:
-        return _conv(_cols(gy, k, 1, k - 1 - padding, False), w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                     (n, h, wd), False)
-    else:
-        gcol = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.transpose(1, 0, 2, 3).reshape(cout, -1))
-        gcol = gcol.reshape(k, k, c, n, ho, wo).transpose(0, 1, 4, 5, 2, 3)
-    out = np.empty((n, c, h, wd), dtype=dtype)
-    spatial = out.transpose(2, 3, 1, 0)  # (H, W, C, N) view of the NCHW output
+    if stride == 1 and padding < k and (depthwise or k == 1 or cout < c):
+        flipped = w[:, :, ::-1, ::-1] if depthwise else w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _conv(_cols(gy, k, 1, k - 1 - padding, depthwise), flipped, (h, wd, n), depthwise)
+    dtype = np.result_type(gy, w)
+    if not depthwise:
+        stamps = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.reshape(cout, -1)).reshape(k, k, c, ho, wo, n)
+    out = np.empty((c, h, wd, n), dtype=dtype)
     cols = _phase_taps(wd, wo, k, stride, padding)
     for y0, ny, ytaps in _phase_taps(h, ho, k, stride, padding):
         for x0, nx, xtaps in cols:
-            if depthwise:
-                block = np.empty((ny, nx, c, n), dtype=dtype)
-            elif stride == 1:
-                block = spatial
-            else:
-                block = np.empty((c, n, ny, nx), dtype=dtype).transpose(2, 3, 0, 1)
-            landing = [((i, j), (by, bx), (gy_rows, gy_cols))
-                       for i, by, gy_rows in ytaps for j, bx, gy_cols in xtaps]
-            zeroed = not landing or landing[0][1] != (slice(0, ny), slice(0, nx))
-            if zeroed:
-                block.fill(0.0)
-            for t, (tap, dst, src) in enumerate(landing):
-                stamp = gyt[src] * taps[tap] if depthwise else gcol[tap + src]
-                if t == 0 and not zeroed:
-                    np.add(stamp, 0.0, out=block)  # 0 + stamp: a -0.0 stamp gives +0.0, as in a zeroed block
-                else:
-                    block[dst] += stamp
-            if block is not spatial:
-                spatial[y0::stride, x0::stride] = block
+            block = out if stride == 1 else np.empty((c, ny, nx, n), dtype=dtype)
+            block.fill(0.0)
+            for i, by, gy_rows in ytaps:
+                for j, bx, gy_cols in xtaps:
+                    src = (slice(None), gy_rows, gy_cols)
+                    block[:, by, bx] += gy[src] * w[:, 0, i, j, None, None, None] if depthwise else stamps[i, j][src]
+            if block is not out:
+                out[:, y0::stride, x0::stride] = block
     return out
 
 
@@ -246,8 +210,8 @@ def _conv_weight_grad(cols: np.ndarray, gy: np.ndarray, w_shape: tuple[int, ...]
                       depthwise: bool) -> np.ndarray:
     """Gradient of ``_conv`` with respect to its kernel, given the patches it read."""
     if depthwise:
-        return np.einsum("hwcnij,hwcn->cij", cols, _hwcn(gy))[:, None]
-    return (_rows(gy).T @ cols).reshape(w_shape)
+        return np.einsum("chwnij,chwn->cij", cols, gy)[:, None]
+    return (gy.reshape(gy.shape[0], -1) @ cols.T).reshape(w_shape)
 
 
 def _forward(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int,
@@ -256,12 +220,16 @@ def _forward(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride
     size = _validate(op, x, w, b, stride, padding, output_padding, depthwise)
     if output_padding is None:
         cols = _cols(x, w.shape[2], stride, padding, depthwise)
-        y = _conv(cols, w, (x.shape[0], *size), depthwise)
+        y = _conv(cols, w, (*size, x.shape[3]), depthwise)
     else:
         cols, y = None, _conv_input_adjoint(x, w, stride, padding, size, depthwise)
     if b is not None:
-        y += b[None, :, None, None]
+        y += b[:, None, None, None]
     return y, cols
+
+
+def _channel_sum(gy: np.ndarray) -> np.ndarray:
+    return gy.reshape(gy.shape[0], -1).sum(axis=1)
 
 
 def _backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
@@ -269,8 +237,8 @@ def _backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding
               input_grad: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     if cols is None:
         cols = _cols(x, w.shape[2], stride, padding, depthwise)
-    gx = _conv_input_adjoint(gy, w, stride, padding, x.shape[2:], depthwise) if input_grad else None
-    return gx, _conv_weight_grad(cols, gy, w.shape, depthwise), gy.sum(axis=(0, 2, 3))
+    gx = _conv_input_adjoint(gy, w, stride, padding, x.shape[1:3], depthwise) if input_grad else None
+    return gx, _conv_weight_grad(cols, gy, w.shape, depthwise), _channel_sum(gy)
 
 
 def _tbackward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
@@ -278,8 +246,8 @@ def _tbackward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, paddin
     # the adjoint of the input-adjoint is the convolution itself, read with
     # the (Cin,Cout,k,k) array as its (Cout',Cin',k,k) kernel
     cols = _cols(gy, w.shape[2], stride, padding, depthwise)
-    gx = _conv(cols, w, (x.shape[0], x.shape[2], x.shape[3]), depthwise)
-    return gx, _conv_weight_grad(cols, x, w.shape, depthwise), gy.sum(axis=(0, 2, 3))
+    gx = _conv(cols, w, x.shape[1:], depthwise)
+    return gx, _conv_weight_grad(cols, x, w.shape, depthwise), _channel_sum(gy)
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +306,22 @@ def depthwise_tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
 
 def prelu_forward(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     if x.ndim != 4 or min(x.shape) < 1:
-        raise ShapeError(f"prelu: input must be rank 4 (N,C,H,W) with dims >= 1, got shape {x.shape}")
-    if slopes.shape != (x.shape[1],):
-        raise ShapeError(f"prelu: slopes length {slopes.shape} != channels {x.shape[1]}")
-    s = slopes[None, :, None, None]
-    return np.where(x >= 0, x, s * x)
+        raise ShapeError(f"prelu: input must be rank 4 (C,H,W,N) with dims >= 1, got shape {x.shape}")
+    if slopes.shape != (x.shape[0],):
+        raise ShapeError(f"prelu: slopes length {slopes.shape} != channels {x.shape[0]}")
+    # max(x, 0) + s * min(x, 0): branch-free, where a per-element select
+    # mispredicts on random signs and took twice as long
+    y = np.minimum(x, 0.0)
+    y *= slopes[:, None, None, None]
+    y += np.maximum(x, 0.0)
+    return y
 
 
 def prelu_backward(x: np.ndarray, slopes: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # subgradient at exactly 0 takes the positive branch
-    s = slopes[None, :, None, None]
-    gx = np.where(x >= 0, gy, s * gy)
-    gs = np.where(x >= 0, 0.0, x * gy).sum(axis=(0, 2, 3))
+    gx = slopes[:, None, None, None] * gy
+    np.copyto(gx, gy, where=x >= 0)
+    gs = _channel_sum(np.minimum(x, 0.0) * gy)
     return gx, gs
 
 

@@ -16,15 +16,6 @@ PSNR_CAP_DB = 100.0  # sentinel for identical images
 _DECODE_BATCH = 16  # rows per decoder call in evaluate_sweep
 
 
-def mse_loss(x: np.ndarray, xhat: np.ndarray) -> float:
-    """Batch-mean of per-sample squared-error sums (the training objective's raw form)."""
-    x, xhat = np.asarray(x, dtype=np.float64), np.asarray(xhat, dtype=np.float64)
-    if x.shape != xhat.shape:
-        raise ShapeError(f"mse_loss: shape mismatch {x.shape} vs {xhat.shape}")
-    batch = x.shape[0]
-    return float(np.sum((x - xhat) ** 2) / batch)
-
-
 def mse_pixel_mean(x: np.ndarray, xhat: np.ndarray) -> float:
     """Mean squared error over every element; what training actually minimizes."""
     x, xhat = np.asarray(x, dtype=np.float64), np.asarray(xhat, dtype=np.float64)

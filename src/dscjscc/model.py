@@ -60,10 +60,16 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.in_channels < 1 or self.out_channels < 1 or self.kernel < 1:
             raise ShapeError(f"layer spec requires positive channel/kernel sizes, got {self}")
+        if self.stride < 1 or self.padding < 0:
+            raise ShapeError(f"{self.kind.value} layer needs stride >= 1 and padding >= 0, "
+                             f"got stride={self.stride}, padding={self.padding}")
         if self.kind.is_transposed and self.output_padding is None:
             raise ShapeError(f"{self.kind.value} layer requires output_padding")
         if not self.kind.is_transposed and self.output_padding is not None:
             raise ShapeError(f"{self.kind.value} layer must not carry output_padding")
+        if self.kind.is_transposed and not 0 <= self.output_padding < self.stride:
+            raise ShapeError(f"{self.kind.value} layer needs 0 <= output_padding < stride, "
+                             f"got output_padding={self.output_padding}, stride={self.stride}")
 
     def out_dim(self, size: int) -> int:
         if self.kind.is_transposed:
@@ -257,17 +263,6 @@ def denormalize_pixels(image: np.ndarray) -> np.ndarray:
     return image * 255.0
 
 
-def reshape_to_complex(feature: np.ndarray) -> np.ndarray:
-    """Pair consecutive row-major scalars of an (N, c, H, W) map into (N, k) complex."""
-    if feature.ndim != 4:
-        raise ShapeError(f"reshape_to_complex: expected rank-4 feature map, got rank {feature.ndim}")
-    n = feature.shape[0]
-    flat = feature.reshape(n, -1)
-    if flat.shape[1] % 2 != 0:
-        raise ShapeError(f"reshape_to_complex: element count {flat.shape[1]} per item is odd")
-    return flat[:, 0::2] + 1j * flat[:, 1::2]
-
-
 # ---------------------------------------------------------------------------
 # parameter initialisation and the codec itself
 # ---------------------------------------------------------------------------
@@ -296,6 +291,11 @@ def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> dict[str, np
     if spec.activation is Activation.PRELU:
         params["prelu"] = np.full(cout, 0.25)
     return params
+
+
+# axis orders between the (N, C, H, W) images and latents and the (C, H, W, N) layers
+_TO_CHWN = (1, 2, 3, 0)
+_TO_NCHW = (3, 0, 1, 2)
 
 
 def _apply_layer(x: Tensor, spec: LayerSpec, params: dict[str, Tensor]) -> Tensor:
@@ -329,6 +329,8 @@ class CodecModel:
     def __init__(self, architecture: ArchitectureSpec, variant: VariantId | None = None,
                  power: float = 1.0, seed: int = 0,
                  params: dict[str, np.ndarray] | None = None):
+        if not (math.isfinite(power) and power > 0):
+            raise ValueError(f"power must be finite and > 0, got {power}")
         self.architecture = architecture
         self.variant = variant
         self.power = float(power)
@@ -379,10 +381,12 @@ class CodecModel:
         if x_raw.data.ndim != 4 or x_raw.data.shape[1:] != (c, h, w):
             raise ShapeError(f"encode: input shape {x_raw.data.shape} does not match "
                              f"architecture (N,{c},{h},{w})")
-        x = ad.scale(x_raw, 1.0 / 255.0)
+        n = x_raw.data.shape[0]
+        x = ad.transpose(ad.scale(x_raw, 1.0 / 255.0), _TO_CHWN)
         for i, spec in enumerate(self.architecture.encoder):
             x = _apply_layer(x, spec, self._layer_params("enc", i))
-        flat = ad.reshape(x, (x.data.shape[0], 2 * self.k))
+        # symbols in each image's (c, h, w) order, as an NCHW latent flattens
+        flat = ad.reshape(ad.transpose(x, _TO_NCHW), (n, 2 * self.k))
         return ad.power_normalize(flat, self.k, self.power)
 
     def decode_graph(self, symbols: Tensor) -> Tensor:
@@ -391,9 +395,10 @@ class CodecModel:
             raise ShapeError(f"decode: symbol block shape {symbols.data.shape} != (N, {2 * self.k})")
         hbar, wbar = self.architecture.latent_dims
         x = ad.reshape(symbols, (symbols.data.shape[0], self.architecture.channel_count, hbar, wbar))
+        x = ad.transpose(x, _TO_CHWN)
         for i, spec in enumerate(self.architecture.decoder):
             x = _apply_layer(x, spec, self._layer_params("dec", i))
-        return x
+        return ad.transpose(x, _TO_NCHW)
 
     # -- public ndarray surface ------------------------------------------
     def encode(self, image: np.ndarray) -> np.ndarray:

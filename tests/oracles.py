@@ -6,6 +6,8 @@ package's vectorized kernels) so they can serve as oracles.
 
 import numpy as np
 
+from dscjscc.kernels import ShapeError
+
 
 def naive_conv2d(x, w, b, stride, padding):
     """Six nested loops of direct cross-correlation."""
@@ -71,6 +73,26 @@ def oracle_param_count(model):
             count += 1
         total += count
     return total
+
+
+def reshape_to_complex(feature):
+    """Pair consecutive row-major scalars of an (N, c, H, W) map into (N, k) complex."""
+    if feature.ndim != 4:
+        raise ShapeError(f"reshape_to_complex: expected rank-4 feature map, got rank {feature.ndim}")
+    n = feature.shape[0]
+    flat = feature.reshape(n, -1)
+    if flat.shape[1] % 2 != 0:
+        raise ShapeError(f"reshape_to_complex: element count {flat.shape[1]} per item is odd")
+    return flat[:, 0::2] + 1j * flat[:, 1::2]
+
+
+def mse_loss(x, xhat):
+    """Batch-mean of per-sample squared-error sums (the training objective's raw form)."""
+    x, xhat = np.asarray(x, dtype=np.float64), np.asarray(xhat, dtype=np.float64)
+    if x.shape != xhat.shape:
+        raise ShapeError(f"mse_loss: shape mismatch {x.shape} vs {xhat.shape}")
+    batch = x.shape[0]
+    return float(np.sum((x - xhat) ** 2) / batch)
 
 
 def naive_mse_sum_per_sample(x, xhat):

@@ -36,9 +36,9 @@ def test_unknown_primitive_rejected():
 
 
 def test_conv_weight_gradient_analytic():
-    # sum of conv output w.r.t. a 1x1 all-ones kernel on constant input
+    # sum of conv output w.r.t. a 1x1 all-ones kernel on constant (C, H, W, N) input
     v = 3.5
-    x = Tensor(np.full((1, 1, 4, 6), v))
+    x = Tensor(np.full((1, 4, 6, 1), v))
     w = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
     out = ad.conv2d(x, w, None, 1, 0)
     ad.sum_all(out).backward()
@@ -46,7 +46,7 @@ def test_conv_weight_gradient_analytic():
 
 
 def test_identity_pointwise_passes_upstream_gradient():
-    x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+    x = Tensor(rng.standard_normal((3, 4, 4, 2)), requires_grad=True)  # (C, H, W, N)
     w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
     y = ad.pointwise_conv2d(x, w, None)
     g = rng.standard_normal(y.data.shape)
@@ -92,7 +92,7 @@ def test_power_normalize_zero_norm_rejected():
 
 
 def test_gradcheck_on_composed_graph():
-    x = rng.standard_normal((1, 2, 5, 5))
+    x = rng.standard_normal((2, 5, 5, 1))  # (C, H, W, N)
     w1 = rng.standard_normal((3, 2, 3, 3)) * 0.4
     w2 = rng.standard_normal((2, 3, 1, 1)) * 0.4
 
@@ -107,7 +107,7 @@ def test_gradcheck_on_composed_graph():
 
 
 def test_forward_is_bitwise_deterministic():
-    x = rng.standard_normal((2, 3, 8, 8))
+    x = rng.standard_normal((3, 8, 8, 2))  # (C, H, W, N)
     w = rng.standard_normal((4, 3, 5, 5))
     a = ad.conv2d(Tensor(x), Tensor(w), None, 2, 2).data
     b = ad.conv2d(Tensor(x.copy()), Tensor(w.copy()), None, 2, 2).data

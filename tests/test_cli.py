@@ -230,6 +230,21 @@ class TestTrainEvalCommands:
         assert err.startswith("error:") and "architecture" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h["architecture"]["encoder"][1].update(stride=0), "stride"),
+        (lambda h: h.update(rho="1/0"), "rho"),
+        (lambda h: h.update(power=math.nan), "power"),
+        (lambda h: h.update(power=-1.0), "power"),
+    ], ids=["stride-0", "rho-1-over-0", "power-nan", "power-negative"])
+    def test_bad_checkpoint_value_nonzero_exit(self, capsys, desk_config, edit, message):
+        cfg, out_dir = desk_config
+        assert run_cli(capsys, "train", "--config", str(cfg))[0] == 0
+        rewrite_header(out_dir / "checkpoint.dscj", edit)
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key,value,message", [
         ("max_steps", "ten", "max_steps"),
         ("max_steps", True, "max_steps"),

@@ -1,5 +1,6 @@
 """Forward-pass semantics of every convolution primitive against naive oracles."""
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -12,20 +13,52 @@ from hypothesis import strategies as st
 from dscjscc import autodiff as ad
 from dscjscc import kernels
 from dscjscc.autodiff import Tensor
-from dscjscc.kernels import (ShapeError, conv_out_dim, depthwise_conv2d_forward,
-                             depthwise_tconv2d_forward, prelu_forward, sigmoid_forward,
-                             tconv2d_forward, tconv_out_dim)
+from dscjscc.kernels import ShapeError, conv_out_dim, sigmoid_forward, tconv_out_dim
 from oracles import block_diagonal_kernel, naive_conv2d, naive_tconv2d
 
 rng = np.random.default_rng(1234)
 
 
+def chwn(a):
+    # (N, C, H, W), the layout of the oracles -> the kernels' batch-innermost (C, H, W, N)
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
+
+
+def on_nchw(kernel):
+    """``kernel`` called on (N, C, H, W) arrays, the layout of the naive oracles.
+
+    Rank-4 activations, x at position 0 and a backward call's gy at position 2,
+    go in as (C, H, W, N); the result, or a tuple's first entry (y or gx),
+    comes back as (N, C, H, W).  Weights and biases pass unchanged.
+    """
+    @functools.wraps(kernel)
+    def call(*args, **kwargs):
+        args = [chwn(a) if i in (0, 2) and np.ndim(a) == 4 else a for i, a in enumerate(args)]
+        out = kernel(*args, **kwargs)
+        first = out[0] if isinstance(out, tuple) else out
+        first = None if first is None else first.transpose(3, 0, 1, 2)
+        return (first, *out[1:]) if isinstance(out, tuple) else first
+    return call
+
+
+conv2d_forward_cached = on_nchw(kernels.conv2d_forward_cached)
+depthwise_conv2d_forward = on_nchw(kernels.depthwise_conv2d_forward)
+tconv2d_forward = on_nchw(kernels.tconv2d_forward)
+depthwise_tconv2d_forward = on_nchw(kernels.depthwise_tconv2d_forward)
+prelu_forward = on_nchw(kernels.prelu_forward)
+conv2d_backward = on_nchw(kernels.conv2d_backward)
+depthwise_conv2d_backward = on_nchw(kernels.depthwise_conv2d_backward)
+tconv2d_backward = on_nchw(kernels.tconv2d_backward)
+depthwise_tconv2d_backward = on_nchw(kernels.depthwise_tconv2d_backward)
+
+
 def conv2d_forward(x, w, b, stride, padding):
-    return kernels.conv2d_forward_cached(x, w, b, stride, padding)[0]
+    return conv2d_forward_cached(x, w, b, stride, padding)[0]
 
 
 def pointwise(x, w, b=None):
-    return ad.pointwise_conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b)).data
+    y = ad.pointwise_conv2d(Tensor(chwn(x)), Tensor(w), None if b is None else Tensor(b))
+    return y.data.transpose(3, 0, 1, 2)
 
 
 class TestConv2d:
@@ -308,7 +341,7 @@ def test_dense_input_adjoint_matches_oracle(n, c1, shift, h, k, s, p):
         return
     wc = r.standard_normal((c2, c1, k, k))
     gy = r.standard_normal((n, c2, ho, ho))
-    gx = kernels.conv2d_backward(x, wc, gy, s, p)[0]
+    gx = conv2d_backward(x, wc, gy, s, p)[0]
     opad = h - tconv_out_dim(ho, k, s, p, 0)  # the conv's input rows its last window leaves unread
     np.testing.assert_allclose(gx, naive_tconv2d(gy, wc, None, s, p, opad), atol=1e-12)
 
@@ -334,8 +367,8 @@ def test_depthwise_kernels_match_block_diagonal_dense(n, shift, h, k, s, p):
         np.testing.assert_allclose(depthwise_tconv2d_forward(x, w, b, s, p, opad),
                                    naive_tconv2d(x, wb, b, s, p, opad), atol=1e-12)
         gy = r.standard_normal((n, c, d, d))
-        gx, gw, gb = kernels.depthwise_tconv2d_backward(x, w, gy, s, p, opad)
-        gx_dense, gw_dense, gb_dense = kernels.tconv2d_backward(x, wb, gy, s, p, opad)
+        gx, gw, gb = depthwise_tconv2d_backward(x, w, gy, s, p, opad)
+        gx_dense, gw_dense, gb_dense = tconv2d_backward(x, wb, gy, s, p, opad)
         np.testing.assert_allclose(gx, gx_dense, atol=1e-12)
         np.testing.assert_allclose(gw[:, 0], gw_dense[diag, diag], atol=1e-12)
         np.testing.assert_allclose(gb, gb_dense, atol=1e-12)
@@ -345,8 +378,8 @@ def test_depthwise_kernels_match_block_diagonal_dense(n, shift, h, k, s, p):
     np.testing.assert_allclose(depthwise_conv2d_forward(x, w, b, s, p),
                                naive_conv2d(x, wb, b, s, p), atol=1e-12)
     gy = r.standard_normal((n, c, ho, ho))
-    gx, gw, gb = kernels.depthwise_conv2d_backward(x, w, gy, s, p)
-    gx_dense, gw_dense, gb_dense = kernels.conv2d_backward(x, wb, gy, s, p)
+    gx, gw, gb = depthwise_conv2d_backward(x, w, gy, s, p)
+    gx_dense, gw_dense, gb_dense = conv2d_backward(x, wb, gy, s, p)
     np.testing.assert_allclose(gx, gx_dense, atol=1e-12)
     np.testing.assert_allclose(gw[:, 0], gw_dense[diag, diag], atol=1e-12)
     np.testing.assert_allclose(gb, gb_dense, atol=1e-12)
@@ -381,10 +414,10 @@ def test_input_adjoint_matches_oracle_at_every_stride(n, c, more, h, k, s, p):
         return
     opad = h - tconv_out_dim(ho, k, s, p, 0)  # the conv's input rows its last window leaves unread
     gy = r.standard_normal((n, cg, ho, ho))
-    gx = kernels.conv2d_backward(xd, wt, gy, s, p)[0]
+    gx = conv2d_backward(xd, wt, gy, s, p)[0]
     np.testing.assert_allclose(gx, naive_tconv2d(gy, wt, None, s, p, opad), atol=1e-12)
     gy = r.standard_normal((n, c, ho, ho))
-    gx = kernels.depthwise_conv2d_backward(xd, wd, gy, s, p)[0]
+    gx = depthwise_conv2d_backward(xd, wd, gy, s, p)[0]
     np.testing.assert_allclose(gx, naive_tconv2d(gy, block_diagonal_kernel(wd), None, s, p, opad),
                                atol=1e-12)
 
@@ -394,7 +427,7 @@ def test_input_gradient_can_be_skipped(depthwise):
     x = rng.standard_normal((2, 3, 6, 6))
     w = rng.standard_normal((3, 1, 3, 3)) if depthwise else rng.standard_normal((4, 3, 3, 3))
     gy = rng.standard_normal((2, w.shape[0], 3, 3))
-    backward = kernels.depthwise_conv2d_backward if depthwise else kernels.conv2d_backward
+    backward = depthwise_conv2d_backward if depthwise else conv2d_backward
     gx, gw, gb = backward(x, w, gy, 2, 1)
     skipped = backward(x, w, gy, 2, 1, input_grad=False)
     assert gx.shape == x.shape and skipped[0] is None

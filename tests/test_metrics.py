@@ -11,9 +11,9 @@ from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.data import synthetic_dataset
 from dscjscc.kernels import ShapeError
 from dscjscc.metrics import (_DECODE_BATCH, PSNR_CAP_DB, _stream_seed, evaluate_sweep,
-                             mse_loss, mse_pixel_mean, psnr, sweep_to_csv)
+                             mse_pixel_mean, psnr, sweep_to_csv)
 from dscjscc.model import CodecModel, VariantId, build_variant_architecture
-from oracles import naive_mse_sum_per_sample
+from oracles import mse_loss, naive_mse_sum_per_sample
 
 rng = np.random.default_rng(11)
 

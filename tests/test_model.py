@@ -13,7 +13,8 @@ from dscjscc.kernels import ShapeError
 from dscjscc.model import (VARIANT_ORDER, VARIANT_PATTERNS, Activation, CodecModel,
                            LayerKind, VariantId, build_variant,
                            build_variant_architecture, default_base_architecture,
-                           denormalize_pixels, normalize_pixels, reshape_to_complex)
+                           denormalize_pixels, normalize_pixels)
+from oracles import reshape_to_complex
 
 rng = np.random.default_rng(7)
 
