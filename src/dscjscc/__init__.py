@@ -1,7 +1,7 @@
 """Selective depthwise-separable JSCC experimentation toolkit."""
 
 from .autodiff import AutodiffError, FiniteDiffReport, Tensor, finite_diff_check, gradcheck
-from .channel import AwgnChannel, ChannelConfig, awgn, rayleigh_slow_fading, sigma_from_snr
+from .channel import AwgnChannel, ChannelConfig, awgn, sigma_from_snr
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .complexity import (ComplexityReport, layer_flops, layer_params, model_complexity,
                          reduction_report)
@@ -25,6 +25,6 @@ __all__ = [
     "finite_diff_check", "gradcheck", "layer_flops", "layer_params", "load_checkpoint",
     "load_dataset", "model_complexity", "mse_pixel_mean",
     "normalize_pixels", "psnr",
-    "rayleigh_slow_fading", "reduction_report", "save_checkpoint",
+    "reduction_report", "save_checkpoint",
     "sigma_from_snr", "synthetic_dataset", "train",
 ]

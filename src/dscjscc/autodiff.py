@@ -43,9 +43,10 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to the gradient; an ``owned`` ``g`` is kept as it is, not copied."""
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g if owned else g.copy()
         else:
             self.grad += g
 
@@ -90,14 +91,19 @@ class Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...],
-          vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> Tensor:
-    """Graph node whose backward sends ``vjp(gy)[i]``, one gradient per parent, to ``parents[i]``."""
+          vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]], owned: bool = True) -> Tensor:
+    """Graph node whose backward sends ``vjp(gy)[i]``, one gradient per parent, to ``parents[i]``.
+
+    ``owned`` says that ``vjp`` returns arrays it freshly allocated, one per
+    parent, which the parents keep as their gradients; a VJP that passes
+    ``gy`` on, or a view of it, is not owned, and its gradients are copied.
+    """
     req = any(p.requires_grad for p in parents)
 
     def backward(gy: np.ndarray) -> None:
         for p, g in zip(parents, vjp(gy)):
             if p.requires_grad:
-                p._accumulate(g)
+                p._accumulate(g, owned)
 
     return Tensor(data, requires_grad=req, parents=parents,
                   backward_fn=backward if req else None)
@@ -170,17 +176,17 @@ def add_constant(x: Tensor, c: np.ndarray) -> Tensor:
     """Add a constant array (e.g. a channel-noise realisation); gradient passes through."""
     if c.shape != x.data.shape:
         raise ShapeError(f"add_constant: constant shape {c.shape} != tensor shape {x.data.shape}")
-    return _node(x.data + c, (x,), lambda gy: (gy,))
+    return _node(x.data + c, (x,), lambda gy: (gy,), owned=False)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _node(x.data.reshape(shape), (x,), lambda gy: (gy.reshape(x.data.shape),))
+    return _node(x.data.reshape(shape), (x,), lambda gy: (gy.reshape(x.data.shape),), owned=False)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     """``x`` with its axes permuted, as a view; the gradient takes the inverse permutation."""
     inverse = tuple(np.argsort(axes))
-    return _node(x.data.transpose(axes), (x,), lambda gy: (gy.transpose(inverse),))
+    return _node(x.data.transpose(axes), (x,), lambda gy: (gy.transpose(inverse),), owned=False)
 
 
 def power_normalize(x: Tensor, k: int, power: float) -> Tensor:

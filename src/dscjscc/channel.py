@@ -99,18 +99,3 @@ class AwgnChannel:
 def awgn(z: np.ndarray, config: ChannelConfig) -> np.ndarray:
     """One noisy transmission; the draw is a pure function of (z.shape, config)."""
     return AwgnChannel(config).transmit(z)
-
-
-def rayleigh_slow_fading(z: np.ndarray, config: ChannelConfig) -> np.ndarray:
-    """h*z + n with a single h ~ CN(0,1) per transmitted vector.
-
-    For a 2-D input each row is its own transmission and gets its own h.
-    """
-    z = np.asarray(z)
-    rng = np.random.default_rng(config.seed)
-    rows = 1 if z.ndim == 1 else z.shape[0]
-    h = complex_normals(rng, (rows,), 1.0)
-    faded = z * h[0] if z.ndim == 1 else z * h[:, None]
-    if config.sigma2 == 0.0:
-        return faded
-    return faded + complex_normals(rng, z.shape, config.sigma2)

@@ -16,7 +16,7 @@ Weight layouts:
     depthwise (both)     (C, 1, K, K)
 
 All four layer kinds run on one core that takes a dense/depthwise flag (a
-depthwise layer is the groups=C case): ``_cols`` gathers input patches,
+depthwise layer is the groups=C case): ``_cols`` copies input patches,
 ``_conv`` convolves them, ``_conv_input_adjoint`` is its adjoint with respect
 to the input and ``_conv_weight_grad`` its gradient with respect to the
 kernel.  A transposed convolution is the input-adjoint of the matching
@@ -29,25 +29,40 @@ dense conv is W(Cout, C*k*k) @ cols(C*k*k, Ho*Wo*N), and the product is
 already the (C, H, W, N) output; a pointwise conv's cols are the input
 itself, reshaped without a copy (MobileNets, arXiv:1704.04861, runs its 1x1
 layers the same way).  The weight gradient is gy(Cout, Ho*Wo*N) @ cols.T, and
-the input adjoint's stamps are W.T @ gy.  Depthwise taps read a strided
-(C, Ho, Wo, N) window view of the padded input, whose rows are runs of Wo*N
-contiguous values at stride 1.  The layout replaced NCHW between layers, with
-(H, W, C, N) copies inside the depthwise kernels and (N*Ho*Wo, C*k*k) im2col
-rows inside the dense ones, so that each kernel converted its input and its
-output.  On one CPU, the kernel calls of one batch-32 forward and backward
-pass of all ten layers took 108 instead of 153 ms on dsc-jscc-100 and 135
-instead of 182 ms on the baseline.
+the input adjoint's stamps are W.T @ gy.  The layout replaced NCHW between
+layers, with (H, W, C, N) copies inside the depthwise kernels and
+(N*Ho*Wo, C*k*k) im2col rows inside the dense ones, so that each kernel
+converted its input and its output.  On one CPU, the kernel calls of one
+batch-32 forward and backward pass of all ten layers took 108 instead of
+153 ms on dsc-jscc-100 and 135 instead of 182 ms on the baseline.
 
-The input-adjoint gathers per output phase.  A stride-s transposed
+Every depthwise kernel runs as batched BLAS GEMMs too.  MEC (Cho & Brand,
+arXiv:1706.06873) lowers a convolution along one spatial axis only:
+``_shifts`` copies the input once per tap column, a k-fold copy where im2col
+makes a k*k-fold one, so that the k input rows an output row reads are k*k
+consecutive rows of the copy, each Wo*N long.  Along the other axis a
+channel's kernel becomes a banded (Toeplitz) matrix: a tile of th output
+rows reads an overlapping window of L = stride*(th - 1) + k input rows, and
+its (th, L*k) band holds the k*k taps on th shifted diagonals.  Every channel
+and tile of a layer goes through one batched ``matmul``; the weight gradient
+is each tile's ``gy`` rows times its window transposed, summed over tiles
+and read back off the band.  The band carries L*k entries per row for k*k
+taps, so taller tiles waste more of each GEMM and shorter ones make more
+calls; 2- and 4-row tiles measured alike and best, 1, 3, 6, 8 and 16 slower.
+This replaced einsums over strided window views, which ran at 0.15-0.57
+GMAC/s against 6-8 GMAC/s for the dense GEMMs.
+
+The input adjoint works per output phase.  A stride-s transposed
 convolution splits into s*s stride-1 sums, one per output phase: the rows
 and columns that share an offset modulo s, each fed by the taps whose offset
 matches (sub-pixel convolution: Shi et al., arXiv:1609.05158 and
-arXiv:1609.07009).  Each phase is built as one contiguous block from the
-in-range slices of its taps' stamps and written once into its strided slots
-of the output, so no padded grid is zeroed, cropped or updated through
-strided read-modify-write adds.  A stride-1 adjoint is instead, where it is
-cheaper, the convolution of ``gy`` with the flipped kernel (see
-``_conv_input_adjoint``).
+arXiv:1609.07009).  Depthwise, each phase is a stride-1 banded convolution
+of ``gy`` with the phase's taps; dense, each phase is one contiguous block
+built from the in-range slices of its taps' stamps.  Either way the phase is
+written once into its strided slots of the output, so no padded grid is
+zeroed, cropped or updated through strided read-modify-write adds.  A dense
+stride-1 adjoint is instead, where it is cheaper, the convolution of ``gy``
+with the flipped kernel (see ``_conv_input_adjoint``).
 """
 
 from __future__ import annotations
@@ -111,30 +126,100 @@ def _validate(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, strid
 # the shared core
 # ---------------------------------------------------------------------------
 
-def _cols(x: np.ndarray, k: int, stride: int, padding: int, depthwise: bool) -> np.ndarray:
-    """Patches of the padded (C, H, W, N) input.
+_TILE_ROWS = 4  # output rows per banded depthwise GEMM
 
-    Depthwise: a strided (C, Ho, Wo, N, k, k) window view, read-only, never
-    written to and never copied.  Dense: the (C*k*k, Ho*Wo*N) im2col matrix,
-    which for an unpadded stride-1 1x1 kernel is ``x`` itself, reshaped.
+
+def _shifts(x: np.ndarray, k: int, stride: int, top: int, left: int, rows: int, wo: int) -> np.ndarray:
+    """The depthwise row-shift copy X[c, r, j, wo*N + n] = x[c, top + r, left + stride*wo + j, n].
+
+    A contiguous (C, rows, k, Wo*N) array, zero where the read falls outside
+    ``x``; its rows are (input row, tap column) pairs, so an output row of a
+    k-row kernel reads k consecutive input rows of it as one (k*k, Wo*N)
+    block.  This is MEC's lowering (Cho & Brand, arXiv:1706.06873): a k-fold
+    copy of the input where im2col makes a k*k-fold one.
     """
+    c, h, wd, n = x.shape
+    cols = np.zeros((c, rows, k, wo, n), dtype=x.dtype)
+    r0, r1 = max(0, -top), min(rows, h - top)
+    for j in range(k):
+        # output column o reads input column left + stride*o + j, in range for o in [a, b)
+        a, b = max(0, -((left + j) // stride)), min(wo, (wd - 1 - left - j) // stride + 1)
+        if r0 < r1 and a < b:
+            x0 = left + stride * a + j
+            cols[:, r0:r1, j, a:b] = x[:, top + r0:top + r1, x0:x0 + stride * (b - a - 1) + 1:stride]
+    return cols.reshape(c, rows, k, wo * n)
+
+
+def _cols(x: np.ndarray, k: int, stride: int, padding: int, depthwise: bool) -> np.ndarray:
+    """Patches of the (C, H, W, N) input, zero-padded by ``padding`` on each side.
+
+    Depthwise: the (C, H + 2*padding, k, Wo*N) row-shift copy of ``_shifts``.
+    Dense: the (C*k*k, Ho*Wo*N) im2col matrix, which for an unpadded stride-1
+    1x1 kernel is ``x`` itself, reshaped.
+    """
+    if depthwise:
+        return _shifts(x, k, stride, -padding, -padding, x.shape[1] + 2 * padding,
+                       conv_out_dim(x.shape[2], k, stride, padding))
     if padding:
         c, h, wd, n = x.shape
         xp = np.zeros((c, h + 2 * padding, wd + 2 * padding, n), dtype=x.dtype)
         xp[:, padding:padding + h, padding:padding + wd] = x
         x = xp
     pt = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    if depthwise:
-        return pt
     c, ho, wo, n = pt.shape[:4]
     return np.ascontiguousarray(pt.transpose(0, 4, 5, 1, 2, 3)).reshape(c * k * k, ho * wo * n)
 
 
-def _conv(cols: np.ndarray, w: np.ndarray, shape: tuple[int, int, int], depthwise: bool) -> np.ndarray:
-    """Convolve the patches ``cols`` with a (Cout, Cin, k, k) kernel; ``shape`` is the output (Ho, Wo, N)."""
-    if depthwise:
-        return np.einsum("chwnij,cij->chwn", cols, w[:, 0])
-    return (w.reshape(w.shape[0], -1) @ cols).reshape(-1, *shape)
+def _tiles(rows: int) -> list[tuple[int, int, int]]:
+    """(first row, tile height, tile count): whole tiles of output rows, then the rest as one tile."""
+    th = min(_TILE_ROWS, rows)
+    count, rest = divmod(rows, th)
+    return [(0, th, count)] + ([(count * th, rest, 1)] if rest else [])
+
+
+def _windows(cols: np.ndarray, ky: int, stride: int, row0: int, th: int, count: int) -> np.ndarray:
+    """``count`` overlapping (L*kx, Wo*N) row windows of a depthwise ``cols``, read-only.
+
+    Window t feeds output rows row0 + t*th .. + th - 1 and covers the
+    L = stride*(th - 1) + ky input rows they read.
+    """
+    c, _, kx, m = cols.shape
+    sc, sr, sj, se = cols.strides
+    return np.lib.stride_tricks.as_strided(
+        cols[:, stride * row0:], (c, count, (stride * (th - 1) + ky) * kx, m),
+        (sc, stride * th * sr, sj, se), writeable=False)
+
+
+def _band(a: np.ndarray, ky: int, kx: int, stride: int) -> np.ndarray:
+    """The (C, th, ky, kx) taps of a (C, th, L*kx) banded matrix, as a strided view.
+
+    Row h of the band holds tap (i, j) at column (stride*h + i)*kx + j.
+    """
+    sc, sh, se = a.strides
+    return np.lib.stride_tricks.as_strided(a, (a.shape[0], a.shape[1], ky, kx),
+                                           (sc, sh + stride * kx * se, kx * se, se))
+
+
+def _conv(cols: np.ndarray, w: np.ndarray, stride: int, shape: tuple[int, int, int],
+          depthwise: bool) -> np.ndarray:
+    """Convolve the patches ``cols`` with a (Cout, Cin, ky, kx) kernel; ``shape`` is the output (Ho, Wo, N).
+
+    Depthwise, each tile of output rows is one channel's banded (th, L*kx)
+    tap matrix times its row window of ``cols``, all channels and tiles in
+    one batched GEMM, and ``stride`` is the step between the input rows that
+    consecutive output rows start at; a dense ``cols`` already holds it.
+    """
+    if not depthwise:
+        return (w.reshape(w.shape[0], -1) @ cols).reshape(-1, *shape)
+    c, _, kx, m = cols.shape
+    ky = w.shape[2]
+    y = np.empty((c, shape[0], m), dtype=np.result_type(cols, w))
+    for row0, th, count in _tiles(shape[0]):
+        band = np.zeros((c, th, (stride * (th - 1) + ky) * kx), dtype=w.dtype)
+        _band(band, ky, kx, stride)[...] = w
+        np.matmul(band[:, None], _windows(cols, ky, stride, row0, th, count),
+                  out=y[:, row0:row0 + th * count].reshape(c, count, th, m))
+    return y.reshape(c, *shape)
 
 
 def _phase_taps(size: int, gsize: int, k: int, stride: int,
@@ -145,6 +230,8 @@ def _phase_taps(size: int, gsize: int, k: int, stride: int,
     ``r0 + padding - i`` is a multiple of the stride, and is listed, in
     ascending order, with the block rows it adds to and the ``gy`` rows it
     reads (tap ``i`` feeds output ``r`` from ``gy`` row ``(r + padding - i) / stride``).
+    The listed taps of a phase are consecutive, each reading one ``gy`` row
+    before the last.
     """
     phases = []
     for r0 in range(min(stride, size)):
@@ -159,38 +246,72 @@ def _phase_taps(size: int, gsize: int, k: int, stride: int,
     return phases
 
 
+def _stride1_phases(size: int, gsize: int, k: int, stride: int,
+                    padding: int) -> list[tuple[int, int, list[int], int]]:
+    """``_phase_taps`` read as stride-1 correlations: (r0, length, taps, first row).
+
+    Output ``r0 + stride*r`` of a phase is the sum over q of tap ``taps[q]``
+    times ``gy`` row ``first + r + q``: the phase's taps, last first, slide
+    over ``gy`` one row per output.
+    """
+    return [(r0, count, [i for i, _, _ in reversed(taps)],
+             taps[-1][2].start - taps[-1][1].start if taps else 0)
+            for r0, count, taps in _phase_taps(size, gsize, k, stride, padding)]
+
+
 def _conv_input_adjoint(gy: np.ndarray, w: np.ndarray, stride: int, padding: int,
                         size: tuple[int, int], depthwise: bool) -> np.ndarray:
     """Adjoint of ``_conv`` with respect to its (H, W) = ``size`` input.
 
-    A stride-1 adjoint with padding < k is the convolution of ``gy``, padded
-    by k - 1 - padding, with the flipped kernel (read as (C, Cout, k, k) when
-    dense).  It is taken for every depthwise layer and for a dense one whose
-    im2col block is smaller than the k*k*C stamps it replaces, which for
-    k = 5 means Cout < C; a pointwise layer's cols are ``gy`` itself, so its
-    adjoint is the one GEMM W.T @ gy.  At batch 32 on one CPU the 32-channel
-    8x8 depthwise tconv took 2.3 ms this way against 4.4 in gather form.
+    Depthwise, output phase (y0, x0), rows ``y0::stride`` and columns
+    ``x0::stride``, is a stride-1 banded convolution, through ``_conv``, of
+    ``gy`` with the phase's sub-kernel: the taps that land on it, reversed on
+    both axes (``_stride1_phases``).  Its row-shift copy reads zeros outside
+    ``gy``, so ``gy`` is never padded.  Each phase is written once into its
+    strided slots of the output, and a phase no tap reaches is zero.  At
+    stride 1 the one phase is the output itself: the convolution of ``gy``,
+    padded by k - 1 - padding, with the flipped kernel.  One stride-1
+    convolution of a zero-inserted ``gy`` instead won only at batch 1 (dec4's
+    16-channel 16->32 layer: 0.18 against 0.35 ms) and lost at batch 16 and
+    32 (3.3 against 2.1 ms, 9.2 against 5.0 ms).
 
-    Otherwise, gather form: output phase (y0, x0), rows ``y0::stride`` and
-    columns ``x0::stride``, is one zeroed (C, ny, nx, N) block to which every
-    tap landing on it adds the in-range slice of its stamp, taps in (i, j)
-    order; the block is then written once into its strided slots of the
-    output (at stride 1 the one phase is the output itself).  Depthwise, each
-    stamp is a slice of ``gy`` times one tap of every channel's kernel.
-    Dense, the stamps come tap-major from one GEMM, the (k*k*C, Cout) kernel
-    times ``gy`` as (Cout, Ho*Wo*N), each a contiguous (C, Ho, Wo, N) slab of
-    the (k, k, C, Ho, Wo, N) result.
+    Dense, a stride-1 adjoint with padding < k is the convolution of ``gy``,
+    padded by k - 1 - padding, with the flipped kernel read as
+    (C, Cout, k, k), when its im2col block is smaller than the k*k*C stamps it
+    replaces, which for k = 5 means Cout < C; a pointwise layer's cols are
+    ``gy`` itself, so its adjoint is the one GEMM W.T @ gy.  Otherwise, gather
+    form: each phase is one zeroed (C, ny, nx, N) block to which every tap
+    landing on it adds the in-range slice of its stamp, taps in (i, j) order,
+    then written once into its strided slots of the output (at stride 1 the
+    one phase is the output itself).  The stamps come tap-major from one
+    GEMM, the (k*k*C, Cout) kernel times ``gy`` as (Cout, Ho*Wo*N), each a
+    contiguous (C, Ho, Wo, N) slab of the (k, k, C, Ho, Wo, N) result.
     """
     cout, ho, wo, n = gy.shape
     k = w.shape[2]
     h, wd = size
     c = w.shape[0] if depthwise else w.shape[1]
-    if stride == 1 and padding < k and (depthwise or k == 1 or cout < c):
-        flipped = w[:, :, ::-1, ::-1] if depthwise else w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _conv(_cols(gy, k, 1, k - 1 - padding, depthwise), flipped, (h, wd, n), depthwise)
     dtype = np.result_type(gy, w)
-    if not depthwise:
-        stamps = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.reshape(cout, -1)).reshape(k, k, c, ho, wo, n)
+    if depthwise:
+        out = np.empty((c, h, wd, n), dtype=dtype)
+        xs = _stride1_phases(wd, wo, k, stride, padding)
+        for y0, ny, iy, ry in _stride1_phases(h, ho, k, stride, padding):
+            for x0, nx, ix, rx in xs:
+                slots = out[:, y0::stride, x0::stride]
+                if not (iy and ix):
+                    slots[...] = 0.0
+                    continue
+                block = _conv(_shifts(gy, len(ix), 1, ry, rx, ny + len(iy) - 1, nx),
+                              w[:, :, iy][:, :, :, ix], 1, (ny, nx, n), True)
+                if stride == 1:
+                    return block
+                slots[...] = block
+                del block  # before the next phase makes its copy
+        return out
+    if stride == 1 and padding < k and (k == 1 or cout < c):
+        return _conv(_cols(gy, k, 1, k - 1 - padding, False), w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                     1, (h, wd, n), False)
+    stamps = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.reshape(cout, -1)).reshape(k, k, c, ho, wo, n)
     out = np.empty((c, h, wd, n), dtype=dtype)
     cols = _phase_taps(wd, wo, k, stride, padding)
     for y0, ny, ytaps in _phase_taps(h, ho, k, stride, padding):
@@ -199,19 +320,32 @@ def _conv_input_adjoint(gy: np.ndarray, w: np.ndarray, stride: int, padding: int
             block.fill(0.0)
             for i, by, gy_rows in ytaps:
                 for j, bx, gy_cols in xtaps:
-                    src = (slice(None), gy_rows, gy_cols)
-                    block[:, by, bx] += gy[src] * w[:, 0, i, j, None, None, None] if depthwise else stamps[i, j][src]
+                    block[:, by, bx] += stamps[i, j][:, gy_rows, gy_cols]
             if block is not out:
                 out[:, y0::stride, x0::stride] = block
     return out
 
 
-def _conv_weight_grad(cols: np.ndarray, gy: np.ndarray, w_shape: tuple[int, ...],
+def _conv_weight_grad(cols: np.ndarray, gy: np.ndarray, stride: int, w_shape: tuple[int, ...],
                       depthwise: bool) -> np.ndarray:
-    """Gradient of ``_conv`` with respect to its kernel, given the patches it read."""
-    if depthwise:
-        return np.einsum("chwnij,chwn->cij", cols, gy)[:, None]
-    return (gy.reshape(gy.shape[0], -1) @ cols.T).reshape(w_shape)
+    """Gradient of ``_conv`` with respect to its kernel, given the patches it read.
+
+    Depthwise, each tile's ``gy`` rows times its row window transposed give
+    the gradient of that tile's banded matrix; the tiles are summed and the
+    taps read back off the band.
+    """
+    if not depthwise:
+        return (gy.reshape(gy.shape[0], -1) @ cols.T).reshape(w_shape)
+    c, ho = gy.shape[:2]
+    _, _, kx, m = cols.shape
+    ky = w_shape[2]
+    gy = gy.reshape(c, ho, m)
+    gw = np.zeros((c, ky, kx), dtype=np.result_type(cols, gy))
+    for row0, th, count in _tiles(ho):
+        win = _windows(cols, ky, stride, row0, th, count)
+        band = (gy[:, row0:row0 + th * count].reshape(c, count, th, m) @ win.transpose(0, 1, 3, 2)).sum(axis=1)
+        gw += _band(band, ky, kx, stride).sum(axis=1)
+    return gw[:, None]
 
 
 def _forward(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int,
@@ -220,7 +354,7 @@ def _forward(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride
     size = _validate(op, x, w, b, stride, padding, output_padding, depthwise)
     if output_padding is None:
         cols = _cols(x, w.shape[2], stride, padding, depthwise)
-        y = _conv(cols, w, (*size, x.shape[3]), depthwise)
+        y = _conv(cols, w, stride, (*size, x.shape[3]), depthwise)
     else:
         cols, y = None, _conv_input_adjoint(x, w, stride, padding, size, depthwise)
     if b is not None:
@@ -235,10 +369,12 @@ def _channel_sum(gy: np.ndarray) -> np.ndarray:
 def _backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
               depthwise: bool, cols: np.ndarray | None,
               input_grad: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    if cols is None:
-        cols = _cols(x, w.shape[2], stride, padding, depthwise)
+    # the weight gradient first, so that a depthwise layer's patches are
+    # freed before the input adjoint makes its own
+    gw = _conv_weight_grad(_cols(x, w.shape[2], stride, padding, depthwise) if cols is None else cols,
+                           gy, stride, w.shape, depthwise)
     gx = _conv_input_adjoint(gy, w, stride, padding, x.shape[1:3], depthwise) if input_grad else None
-    return gx, _conv_weight_grad(cols, gy, w.shape, depthwise), _channel_sum(gy)
+    return gx, gw, _channel_sum(gy)
 
 
 def _tbackward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
@@ -246,8 +382,8 @@ def _tbackward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, paddin
     # the adjoint of the input-adjoint is the convolution itself, read with
     # the (Cin,Cout,k,k) array as its (Cout',Cin',k,k) kernel
     cols = _cols(gy, w.shape[2], stride, padding, depthwise)
-    gx = _conv(cols, w, x.shape[1:], depthwise)
-    return gx, _conv_weight_grad(cols, x, w.shape, depthwise), _channel_sum(gy)
+    gx = _conv(cols, w, stride, x.shape[1:], depthwise)
+    return gx, _conv_weight_grad(cols, x, stride, w.shape, depthwise), _channel_sum(gy)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,12 @@ def evaluate_sweep(model: CodecModel, data: Dataset, snr_list: list[float],
     and decoded in consecutive slices of at most ``_DECODE_BATCH`` rows.
     Decoding is row-independent, so slicing changes no row beyond float
     round-off.  Why 16: a batch-1 decoder call is mostly per-call overhead,
-    and at 32x32x3 a 16-row slice halves the sweep, while 32 rows, 48 rows
-    or a whole 144-row block are slower again and raise its memory peak
-    (tracemalloc 11 MB at 16 rows, 21 at 32, 88 for 144).
+    and at 32x32x3 a 16-row slice halved the sweep against one call per
+    draw.  With the depthwise kernels as batched GEMMs, whose cost grows with
+    the rows, 16 is still the fastest: on a 48-image, 3-draw, 5-SNR e2d2
+    sweep, timed interleaved in one process, 8 rows took 1.14x its time,
+    24 rows 1.46x and 32 rows 1.34x, with tracemalloc peaks of 5.4, 9.2,
+    13.0 and 16.8 MB at 8, 16, 24 and 32 rows.
     """
     if not snr_list:
         raise ValueError("evaluate_sweep: snr_list must not be empty")

@@ -7,8 +7,7 @@ import pytest
 
 from dscjscc import autodiff as ad
 from dscjscc.autodiff import Tensor
-from dscjscc.channel import (AwgnChannel, ChannelConfig, awgn, complex_normals,
-                             rayleigh_slow_fading, sigma_from_snr)
+from dscjscc.channel import AwgnChannel, ChannelConfig, awgn, complex_normals, sigma_from_snr
 
 rng = np.random.default_rng(2024)
 
@@ -108,32 +107,6 @@ class TestAwgn:
         block = ch.noise_block((1000, 64))
         # per real component variance sigma2/2
         assert np.var(block) == pytest.approx(0.4, rel=0.05)
-
-
-class TestRayleigh:
-    def test_noiseless_fading_scales_uniformly(self):
-        z = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        out = rayleigh_slow_fading(z, ChannelConfig(sigma2=0.0, seed=4))
-        ratios = out / z
-        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
-
-    def test_fading_coefficient_unit_power(self):
-        z = np.ones((100_000, 1), dtype=complex)
-        out = rayleigh_slow_fading(z, ChannelConfig(sigma2=0.0, seed=6))
-        e_h2 = float(np.mean(np.abs(out) ** 2))
-        assert abs(e_h2 - 1.0) < 0.02
-
-    def test_per_row_independent_coefficients(self):
-        z = np.ones((4, 8), dtype=complex)
-        out = rayleigh_slow_fading(z, ChannelConfig(sigma2=0.0, seed=8))
-        h = out[:, 0]
-        assert len(np.unique(h)) == 4
-
-    def test_deterministic(self):
-        z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        cfg = ChannelConfig(sigma2=0.1, seed=44)
-        np.testing.assert_array_equal(rayleigh_slow_fading(z, cfg),
-                                      rayleigh_slow_fading(z, cfg))
 
 
 class TestGradientTransparency:

@@ -346,12 +346,16 @@ def test_dense_input_adjoint_matches_oracle(n, c1, shift, h, k, s, p):
     np.testing.assert_allclose(gx, naive_tconv2d(gy, wc, None, s, p, opad), atol=1e-12)
 
 
-@given(st.integers(2, 3), st.integers(1, 2), st.integers(2, 6), st.integers(1, 5), st.integers(1, 2),
-       st.integers(0, 2))
+@given(st.integers(2, 3), st.integers(1, 2), st.integers(2, 12), st.integers(1, 5), st.integers(1, 4),
+       st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
+@example(n=2, shift=1, h=12, k=3, s=1, p=1)  # three whole tiles of output rows
+@example(n=3, shift=2, h=10, k=5, s=1, p=2)  # two whole tiles and a 2-row last one
+@example(n=2, shift=1, h=11, k=5, s=2, p=2)  # stride 2: a partial tile in the conv and in each phase
+@example(n=2, shift=2, h=5, k=2, s=4, p=0)  # two of four phases per axis get no tap
 def test_depthwise_kernels_match_block_diagonal_dense(n, shift, h, k, s, p):
     # batch != channels, so a batch/channel mix-up in the batch-innermost
-    # (H, W, C, N) layout cannot cancel out; every path is checked against
+    # (C, H, W, N) layout cannot cancel out; every path is checked against
     # the naive loops or the dense kernels on the block-diagonal kernel
     c = (n - 2 + shift) % 3 + 2
     r = _example_rng(n, shift, h, k, s, p)
@@ -420,6 +424,32 @@ def test_input_adjoint_matches_oracle_at_every_stride(n, c, more, h, k, s, p):
     gx = depthwise_conv2d_backward(xd, wd, gy, s, p)[0]
     np.testing.assert_allclose(gx, naive_tconv2d(gy, block_diagonal_kernel(wd), None, s, p, opad),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("c, h, k, s, p", [(3, 9, 5, 2, 2), (4, 8, 5, 1, 2), (2, 7, 3, 3, 1), (3, 6, 2, 4, 0)])
+def test_depthwise_kernels_are_row_independent(c, h, k, s, p):
+    # the depthwise core runs the batch inside its GEMMs; each batch row of
+    # the forward and input gradient of both kinds must come out as if run alone
+    n = 5
+    r = _example_rng(c, h, k, s, p)
+    x = r.standard_normal((c, h, h, n))
+    w = r.standard_normal((c, 1, k, k))
+    b = r.standard_normal(c)
+    ho, opad = conv_out_dim(h, k, s, p), s - 1
+    hup = tconv_out_dim(h, k, s, p, opad)
+    gy = r.standard_normal((c, ho, ho, n))
+    gyt = r.standard_normal((c, hup, hup, n))
+    calls = [
+        lambda x, gy, gyt: kernels.depthwise_conv2d_forward(x, w, b, s, p),
+        lambda x, gy, gyt: kernels.depthwise_tconv2d_forward(x, w, b, s, p, opad),
+        lambda x, gy, gyt: kernels.depthwise_conv2d_backward(x, w, gy, s, p)[0],
+        lambda x, gy, gyt: kernels.depthwise_tconv2d_backward(x, w, gyt, s, p, opad)[0],
+    ]
+    for call in calls:
+        whole = call(x, gy, gyt)
+        for i in range(n):
+            row = call(x[..., i:i + 1], gy[..., i:i + 1], gyt[..., i:i + 1])
+            np.testing.assert_allclose(whole[..., i:i + 1], row, atol=1e-12)
 
 
 @pytest.mark.parametrize("depthwise", [False, True])

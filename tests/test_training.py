@@ -10,7 +10,7 @@ from dscjscc.data import synthetic_dataset
 from dscjscc.kernels import ShapeError
 from dscjscc.model import CodecModel, VariantId, build_variant_architecture
 from dscjscc.training import (Adam, TrainConfig, history_to_csv, smoothed_endpoints,
-                              train)
+                              train, train_step)
 
 
 class TestAdam:
@@ -127,6 +127,46 @@ def _step_graph_grads(variant, image_requires_grad):
     loss = ad.mse_mean(model.decode_graph(ad.add_constant(symbols, noise)), ad.scale(x, 1.0 / 255.0))
     loss.backward()
     return x, {k: t.grad for k, t in model.params.items()}
+
+
+def _train_step_graph(variant):
+    # one training.train_step, with its loss node caught on the way out of mse_mean
+    model = CodecModel(build_variant_architecture(variant, (16, 16, 3), 4), variant=variant, seed=5)
+    mse, losses = ad.mse_mean, []
+
+    def caught(a, b):
+        losses.append(mse(a, b))
+        return losses[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "mse_mean", caught)
+        train_step(model, synthetic_dataset(4, 16, seed=6).images,
+                   AwgnChannel(ChannelConfig(snr_db=10.0, seed=7)), Adam(model.params))
+    return losses[0], {k: t.grad for k, t in model.params.items()}
+
+
+@pytest.mark.parametrize("variant", [VariantId.BASELINE, VariantId.R100])
+def test_kept_gradients_share_no_memory_and_equal_copied_ones(variant, monkeypatch):
+    # autodiff keeps the gradient arrays its VJPs freshly allocate; a
+    # pass-through or view VJP must still copy, or two nodes would share one
+    # gradient buffer and an accumulation into one would change the other
+    loss, grads = _train_step_graph(variant)
+    nodes, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    kept = [t.grad for t in nodes.values() if t.grad is not None]
+    assert len(kept) > len(grads)  # the parameters and the nodes between them
+    for i, a in enumerate(kept):
+        for b in kept[i + 1:]:
+            assert not np.shares_memory(a, b)
+    accumulate = Tensor._accumulate
+    monkeypatch.setattr(Tensor, "_accumulate", lambda self, g, owned=False: accumulate(self, g))
+    _, copied = _train_step_graph(variant)
+    for k in grads:
+        np.testing.assert_array_equal(grads[k], copied[k], err_msg=k)
 
 
 @pytest.mark.parametrize("variant", [VariantId.BASELINE, VariantId.R100])
