@@ -1,6 +1,6 @@
 """Selective depthwise-separable JSCC experimentation toolkit."""
 
-from .autodiff import AutodiffError, FiniteDiffReport, Tensor, finite_diff_check, gradcheck
+from .autodiff import AutodiffError, Tensor
 from .channel import AwgnChannel, ChannelConfig, awgn, sigma_from_snr
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .complexity import (ComplexityReport, layer_flops, layer_params, model_complexity,
@@ -18,11 +18,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Activation", "Adam", "ArchitectureSpec", "AutodiffError", "AwgnChannel",
     "ChannelConfig", "CheckpointError", "CodecModel", "ComplexityReport",
-    "Dataset", "DatasetError", "FiniteDiffReport", "LayerKind", "LayerSpec",
+    "Dataset", "DatasetError", "LayerKind", "LayerSpec",
     "ShapeError", "Tensor", "TrainConfig", "TrainResult", "TrainingError", "VariantId",
     "awgn", "build_variant", "build_variant_architecture", "center_crop",
     "default_base_architecture", "denormalize_pixels", "evaluate_sweep",
-    "finite_diff_check", "gradcheck", "layer_flops", "layer_params", "load_checkpoint",
+    "layer_flops", "layer_params", "load_checkpoint",
     "load_dataset", "model_complexity", "mse_pixel_mean",
     "normalize_pixels", "psnr",
     "reduction_report", "save_checkpoint",

@@ -14,7 +14,6 @@ give batch-innermost (C, H, W, N) arrays, the layout of ``kernels``;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -227,142 +226,3 @@ def mse_mean(a: Tensor, b: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     return _node(np.array(x.data.sum()), (x,), lambda gy: (np.full_like(x.data, float(gy)),))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FiniteDiffReport:
-    op: str
-    trials: int
-    seed: int
-    per_input: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.per_input.values()) if self.per_input else 0.0
-
-
-def _numeric_grad(fn: Callable[[], float], arr: np.ndarray, step: float) -> np.ndarray:
-    g = np.zeros_like(arr)
-    flat = arr.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = fn()
-        flat[i] = orig - step
-        fm = fn()
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * step)
-    return g
-
-
-def gradcheck(build: Callable[[dict[str, Tensor]], Tensor],
-              inputs: dict[str, np.ndarray], step: float = 1e-4) -> dict[str, float]:
-    """Compare analytic gradients of a scalar-valued graph against central differences.
-
-    Returns per-input max |analytic - numeric| normalised by the numeric
-    gradient's largest magnitude.
-    """
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in inputs.items()}
-    out = build(tensors)
-    out.backward()
-    errors: dict[str, float] = {}
-    for name, t in tensors.items():
-        def value() -> float:
-            fresh = {k: Tensor(v.data) for k, v in tensors.items()}
-            return float(build(fresh).data)
-
-        num = _numeric_grad(value, t.data, step)
-        denom = max(float(np.max(np.abs(num))), 1e-12)
-        errors[name] = float(np.max(np.abs(t.grad - num))) / denom
-    return errors
-
-
-def _weighted(out: Callable[[dict[str, Tensor]], Tensor], inputs: dict[str, np.ndarray],
-              rng: np.random.Generator) -> tuple[Callable[[dict[str, Tensor]], Tensor], dict[str, np.ndarray]]:
-    # weight the output sum randomly so the full Jacobian is exercised
-    r = rng.standard_normal(out({k: Tensor(v) for k, v in inputs.items()}).shape)
-    return (lambda t: sum_all(scale(out(t), r))), inputs
-
-
-def _trial_config(op: str, rng: np.random.Generator) -> tuple[Callable[[dict[str, Tensor]], Tensor], dict[str, np.ndarray]]:
-    n = int(rng.integers(1, 3))
-    c = int(rng.integers(1, 4))
-    h = int(rng.integers(3, 7))
-    k = int(rng.integers(1, 4))
-    stride = int(rng.integers(1, 3))
-    padding = int(rng.integers(0, k))
-    x = rng.standard_normal((c, h, h, n))  # (C, H, W, N), the kernels' layout
-    if op == "conv2d":
-        cout = int(rng.integers(1, 4))
-        w = rng.standard_normal((cout, c, k, k)) * 0.5
-        b = rng.standard_normal(cout) * 0.1
-        return _weighted(lambda t: conv2d(t["x"], t["w"], t["b"], stride, padding),
-                         {"x": x, "w": w, "b": b}, rng)
-    if op == "depthwise_conv2d":
-        w = rng.standard_normal((c, 1, k, k)) * 0.5
-        b = rng.standard_normal(c) * 0.1
-        return _weighted(lambda t: depthwise_conv2d(t["x"], t["w"], t["b"], stride, padding),
-                         {"x": x, "w": w, "b": b}, rng)
-    if op == "pointwise_conv2d":
-        cout = int(rng.integers(1, 4))
-        w = rng.standard_normal((cout, c, 1, 1)) * 0.5
-        b = rng.standard_normal(cout) * 0.1
-        return _weighted(lambda t: pointwise_conv2d(t["x"], t["w"], t["b"]), {"x": x, "w": w, "b": b}, rng)
-    if op == "tconv2d":
-        cout = int(rng.integers(1, 4))
-        op_pad = int(rng.integers(0, stride))
-        w = rng.standard_normal((c, cout, k, k)) * 0.5
-        b = rng.standard_normal(cout) * 0.1
-        if kernels.tconv_out_dim(h, k, stride, padding, op_pad) < 1:
-            return _trial_config(op, rng)
-        return _weighted(lambda t: tconv2d(t["x"], t["w"], t["b"], stride, padding, op_pad),
-                         {"x": x, "w": w, "b": b}, rng)
-    if op == "depthwise_tconv2d":
-        op_pad = int(rng.integers(0, stride))
-        w = rng.standard_normal((c, 1, k, k)) * 0.5
-        b = rng.standard_normal(c) * 0.1
-        if kernels.tconv_out_dim(h, k, stride, padding, op_pad) < 1:
-            return _trial_config(op, rng)
-        return _weighted(lambda t: depthwise_tconv2d(t["x"], t["w"], t["b"], stride, padding, op_pad),
-                         {"x": x, "w": w, "b": b}, rng)
-    if op == "prelu":
-        # keep samples away from the kink at 0
-        xa = x + np.sign(x) * 0.05
-        xa[np.abs(xa) < 1e-3] = 0.1
-        slopes = rng.uniform(0.1, 0.5, size=c)
-        return _weighted(lambda t: prelu(t["x"], t["s"]), {"x": xa, "s": slopes}, rng)
-    if op == "sigmoid":
-        return _weighted(lambda t: sigmoid(t["x"]), {"x": x}, rng)
-    if op == "power_normalize":
-        m = 2 * int(rng.integers(2, 6))
-        z = rng.standard_normal((n, m)) + 0.1
-        kk, p = m // 2, float(rng.uniform(0.5, 2.0))
-        return _weighted(lambda t: power_normalize(t["z"], kk, p), {"z": z}, rng)
-    if op == "transpose":
-        axes = tuple(int(a) for a in rng.permutation(4))
-        return _weighted(lambda t: transpose(t["x"], axes), {"x": x}, rng)
-    if op == "mse_mean":
-        y = rng.standard_normal(x.shape)
-        return (lambda t: mse_mean(t["a"], t["b"]), {"a": x, "b": y})
-    raise ValueError(f"finite_diff_check: unknown primitive {op!r}")
-
-
-DIFFERENTIABLE_OPS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "tconv2d",
-                      "depthwise_tconv2d", "prelu", "sigmoid", "power_normalize", "mse_mean",
-                      "transpose")
-
-
-def finite_diff_check(op: str, trials: int = 10, seed: int = 0, step: float = 1e-4) -> FiniteDiffReport:
-    """Run randomized central-difference checks for one primitive."""
-    rng = np.random.default_rng(seed)
-    report = FiniteDiffReport(op=op, trials=trials, seed=seed)
-    for _ in range(trials):
-        build, inputs = _trial_config(op, rng)
-        for name, err in gradcheck(build, inputs, step=step).items():
-            report.per_input[name] = max(report.per_input.get(name, 0.0), err)
-    return report

@@ -1,8 +1,11 @@
 """Command-line front end: variant listing, complexity analysis, train, eval.
 
-Config files are strict JSON: unknown keys are rejected and command-line flags
+Config files are strict JSON, checked against one schema (``_SCHEMA``) of
+each key's kind and default: unknown keys are rejected at every level,
+``dataset`` and ``dataset.synthetic`` included, and command-line flags
 override file values.  Exactly one of rho / c is given; the other is derived
-from the bandwidth bookkeeping and echoed.
+from the bandwidth bookkeeping and echoed.  ``rho`` is a number or a
+``"p/q"`` string and must give a whole c; ``snr_list`` is non-empty.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .channel import ChannelConfig
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .complexity import format_table, model_complexity, reduction_report, to_csv
-from .data import Dataset, DatasetError, load_dataset, synthetic_dataset
+from .data import Dataset, load_dataset, synthetic_dataset
 from .metrics import evaluate_sweep, sweep_to_csv
 from .model import (VARIANT_ORDER, VARIANT_PATTERNS, CodecModel, VariantId,
                     build_variant_architecture)
@@ -29,11 +32,90 @@ class ConfigError(ValueError):
     pass
 
 
-_CONFIG_KEYS = {
-    "variant", "input_size", "rho", "c", "power", "train_snr_db", "snr_list",
-    "learning_rate", "batch_size", "epochs", "max_steps", "dataset", "seed",
-    "out_dir", "checkpoint", "draws_per_image",
+def _number(value) -> float | None:
+    """A JSON number (not a bool, not NaN) as a float, an int too large for one as +-inf; else None."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    return None if math.isnan(number) else number
+
+
+def _positive(value) -> float | None:
+    number = _number(value)
+    return number if number is not None and 0 < number < math.inf else None
+
+
+def _numbers(value) -> tuple[float, ...] | None:
+    numbers = [_number(x) for x in value] if isinstance(value, list) else []
+    return tuple(numbers) if numbers and None not in numbers else None
+
+
+def _rho(value) -> Fraction | None:
+    """A number (not a bool), a Fraction or a "p/q" string, as a Fraction > 0; None otherwise."""
+    try:
+        if isinstance(value, Fraction) or isinstance(value, str) and "/" in value:
+            rho = Fraction(value)
+        elif type(value) in (int, float):
+            rho = Fraction(value).limit_denominator(10 ** 9)
+        else:
+            return None
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    return rho if rho > 0 else None
+
+
+# A kind is (what it expects, parser returning the parsed value or None); a
+# dict in place of a kind is a nested section with its own table.  Infinite
+# SNRs pass (the noiseless channel); NaN never does.
+_COUNT = ("an integer >= 1", lambda v: v if type(v) is int and v >= 1 else None)
+_SEED = ("an integer >= 0", lambda v: v if type(v) is int and v >= 0 else None)
+_POSITIVE = ("a finite number > 0", _positive)
+_NUMBER = ("a number (not NaN)", _number)
+_NUMBERS = ("a non-empty list of numbers (not NaN)", _numbers)
+_STRING = ("a string", lambda v: v if isinstance(v, str) else None)
+_RHO = ('a number > 0 or a "p/q" string such as "1/12"', _rho)
+
+# Each key maps to (kind, default).  A null counts as absent only where the
+# default is None.  A synthetic seed of None means the master seed + 2.
+_SYNTHETIC = {"count": (_COUNT, 64), "seed": (_SEED, None)}
+_DATASET = {"path": (_STRING, None), "synthetic": (_SYNTHETIC, None)}
+_SCHEMA = {
+    "variant": (_STRING, "dsc-jscc-60-e2d2"), "input_size": (_STRING, "256x256x3"),
+    "rho": (_RHO, None), "c": (_COUNT, None), "power": (_POSITIVE, 1.0),
+    "train_snr_db": (_NUMBER, 10.0), "snr_list": (_NUMBERS, (0.0, 5.0, 10.0, 15.0, 19.0)),
+    "learning_rate": (_POSITIVE, 0.001), "batch_size": (_COUNT, 32), "epochs": (_COUNT, 20),
+    "max_steps": (_COUNT, None), "dataset": (_DATASET, None), "seed": (_SEED, 0),
+    "out_dir": (_STRING, "."), "checkpoint": (_STRING, None), "draws_per_image": (_COUNT, 1),
 }
+
+
+def _parse(name: str, kind, value):
+    """``value`` parsed as ``kind``; a ConfigError naming ``name`` and the kind if it is not one."""
+    if isinstance(kind, dict):  # a nested section
+        what = "an object"
+        parsed = _read_section(value, kind, name + ".") if isinstance(value, dict) else None
+    else:
+        what, parse = kind
+        parsed = parse(value)
+    if parsed is None:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return parsed
+
+
+def _read_section(section: dict, table: dict, where: str = "") -> dict:
+    """Every key of ``table``, parsed from ``section`` or defaulted; unknown keys are rejected."""
+    unknown = sorted(set(section) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {[where + key for key in unknown]}")
+    parsed = {}
+    for key, (kind, default) in table.items():
+        value = section.get(key)
+        absent = key not in section or (value is None and default is None)
+        parsed[key] = default if absent else _parse(where + key, kind, value)
+    return parsed
 
 
 @dataclass
@@ -43,140 +125,56 @@ class ExperimentConfig:
     rho: Fraction
     c: int
     k: int
-    power: float = 1.0
-    train_snr_db: float = 10.0
-    snr_list: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 19.0)
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    epochs: int = 20
-    max_steps: int | None = None
-    dataset: dict | None = None
-    seed: int = 0
-    out_dir: str = "."
-    checkpoint: str | None = None
-    draws_per_image: int = 1
+    power: float
+    train_snr_db: float
+    snr_list: tuple[float, ...]
+    learning_rate: float
+    batch_size: int
+    epochs: int
+    max_steps: int | None
+    dataset: dict | None
+    seed: int
+    out_dir: str
+    checkpoint: str | None
+    draws_per_image: int
 
 
 def parse_input_size(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x") if isinstance(text, str) else []
-    if len(parts) != 3:
-        raise ConfigError(f"input size must look like 256x256x3, got {text!r}")
-    w, h, c = (int(p) for p in parts)
+    try:
+        w, h, c = (int(p) for p in text.lower().split("x"))
+    except ValueError:
+        raise ConfigError(f"input size must look like 256x256x3, got {text!r}") from None
     if min(w, h, c) < 1:
         raise ConfigError(f"input size dims must all be >= 1, got {text!r}")
     return (w, h, c)
 
 
-def _int_field(section: dict, key: str, default: int | None, minimum: int, where: str = "") -> int | None:
-    """``section[key]`` as an int (a bool is not one) >= ``minimum``; ``default`` when absent.
-
-    A null value counts as absent only where the default is None.
-    """
-    value = section.get(key)
-    if value is None and (key not in section or default is None):
-        return default
-    if type(value) is int and value >= minimum:
-        return value
-    raise ConfigError(f"{where}{key} must be an integer >= {minimum}, got {value!r}")
-
-
-def _real(value) -> float | None:
-    """A JSON number as a float, an int too large for one as +-inf; None for a bool or a non-number."""
-    if type(value) not in (int, float):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _float_field(section: dict, key: str, default: float, positive: bool) -> float:
-    """``section[key]`` as a real number (a bool is not one); ``default`` when absent.
-
-    NaN is never valid.  With ``positive`` the value must also be finite and
-    > 0; otherwise infinities pass (an infinite SNR is the noiseless channel).
-    """
-    if key not in section:
-        return default
-    value = section[key]
-    number = _real(value)
-    valid = number is not None and not math.isnan(number)
-    if positive:
-        valid = valid and math.isfinite(number) and number > 0
-    if valid:
-        return number
-    kind = "a finite number > 0" if positive else "a number (not NaN)"
-    raise ConfigError(f"{key} must be {kind}, got {value!r}")
-
-
-def _str_field(section: dict, key: str, default: str | None) -> str | None:
-    """``section[key]`` as a string; ``default`` when absent.
-
-    A null value counts as absent only where the default is None.
-    """
-    value = section.get(key)
-    if value is None and (key not in section or default is None):
-        return default
-    if isinstance(value, str):
-        return value
-    raise ConfigError(f"{key} must be a string, got {value!r}")
-
-
-def _parse_dataset(value) -> dict | None:
-    if value is None:
-        return None
-    if not isinstance(value, dict):
-        raise ConfigError(f"dataset must be an object, got {value!r}")
-    if "path" in value and not isinstance(value["path"], str):
-        raise ConfigError(f"dataset.path must be a string, got {value['path']!r}")
-    if "synthetic" in value and not isinstance(value["synthetic"], dict):
-        raise ConfigError(f"dataset.synthetic must be an object, got {value['synthetic']!r}")
-    return value
-
-
-def _parse_snr_list(value) -> tuple[float, ...]:
-    """A list of SNR points in dB; infinities pass (the noiseless channel), NaN never does."""
-    snrs = [_real(s) for s in value] if isinstance(value, list) else [None]
-    if None in snrs or any(math.isnan(s) for s in snrs):
-        raise ConfigError(f"snr_list must be a list of numbers (not NaN), got {value!r}")
-    return tuple(snrs)
-
-
 def parse_rho(value) -> Fraction:
-    if isinstance(value, str) and "/" in value:
-        return Fraction(value)
-    return Fraction(value).limit_denominator(10 ** 9)
+    return _parse("rho", _RHO, value)
 
 
 def derive_bandwidth(input_shape: tuple[int, int, int], rho=None, c=None) -> tuple[int, int, Fraction]:
-    """Resolve (k, c, rho) from whichever of rho / c was given."""
+    """Resolve (k, c, rho) from whichever of rho / c was given; a given rho must give a whole c."""
     w, h, ch = input_shape
     n = w * h * ch
     if w % 4 or h % 4:
         raise ConfigError(f"input spatial dims must be multiples of 4, got {w}x{h}")
     hbar, wbar = h // 4, w // 4
-    if rho is not None and c is not None:
-        rho = parse_rho(rho)
-        k = int(rho * n)  # floor for non-negative rho*n
-        c_derived = (2 * k) // (hbar * wbar)
-        if c_derived != c:
-            raise ConfigError(f"rho={rho} implies c={c_derived}, but c={c} was given")
-        return k, c, rho
+    if rho is None and c is None:
+        raise ConfigError("exactly one of rho / c must be given")
     if rho is not None:
         rho = parse_rho(rho)
-        k = int(rho * n)
-        if k < 1:
-            raise ConfigError(f"rho={rho} gives no symbols for n={n}")
-        c = (2 * k) // (hbar * wbar)
-        if c < 1:
-            raise ConfigError(f"rho={rho} too small: derived c=0 at latent {hbar}x{wbar}")
-        return k, c, rho
-    if c is not None:
-        if (c * hbar * wbar) % 2:
-            raise ConfigError(f"c={c} at latent {hbar}x{wbar} gives an odd symbol count")
-        k = c * hbar * wbar // 2
-        return k, c, Fraction(k, n)
-    raise ConfigError("exactly one of rho / c must be given")
+        derived = (2 * int(rho * n)) // (hbar * wbar)  # floor for non-negative rho*n
+        if c is not None and derived != c:
+            raise ConfigError(f"rho={rho} implies c={derived}, but c={c} was given")
+        c = derived
+    k = Fraction(c * hbar * wbar, 2)
+    if rho is not None and k / n != rho:
+        raise ConfigError(f"rho={rho} gives no whole c at latent {hbar}x{wbar}: "
+                          f"the derived c={c} gives rho={k / n}")
+    if k.denominator != 1:
+        raise ConfigError(f"c={c} at latent {hbar}x{wbar} gives an odd symbol count")
+    return int(k), c, k / n
 
 
 def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
@@ -188,33 +186,15 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-
-    variant = VariantId.from_name(raw.get("variant", "dsc-jscc-60-e2d2"))
-    input_shape = parse_input_size(raw.get("input_size", "256x256x3"))
-    k, c, rho = derive_bandwidth(input_shape, raw.get("rho"), _int_field(raw, "c", None, 1))
-    snr_list = _parse_snr_list(raw.get("snr_list", [0.0, 5.0, 10.0, 15.0, 19.0]))
-    return ExperimentConfig(
-        variant=variant,
-        input_shape=input_shape,
-        rho=rho, c=c, k=k,
-        power=_float_field(raw, "power", 1.0, positive=True),
-        train_snr_db=_float_field(raw, "train_snr_db", 10.0, positive=False),
-        snr_list=snr_list,
-        learning_rate=_float_field(raw, "learning_rate", 0.001, positive=True),
-        batch_size=_int_field(raw, "batch_size", 32, 1),
-        epochs=_int_field(raw, "epochs", 20, 1),
-        max_steps=_int_field(raw, "max_steps", None, 1),
-        dataset=_parse_dataset(raw.get("dataset")),
-        seed=_int_field(raw, "seed", 0, 0),
-        out_dir=_str_field(raw, "out_dir", "."),
-        checkpoint=_str_field(raw, "checkpoint", None),
-        draws_per_image=_int_field(raw, "draws_per_image", 1, 1),
-    )
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    cfg = _read_section({**raw, **given}, _SCHEMA)
+    dataset = cfg["dataset"]
+    if dataset is not None and (dataset["path"] is None) == (dataset["synthetic"] is None):
+        raise ConfigError("dataset needs exactly one of 'path' / 'synthetic'")
+    input_shape = parse_input_size(cfg.pop("input_size"))
+    k, c, rho = derive_bandwidth(input_shape, cfg.pop("rho"), cfg.pop("c"))
+    return ExperimentConfig(variant=VariantId.from_name(cfg.pop("variant")), input_shape=input_shape,
+                            rho=rho, c=c, k=k, **cfg)
 
 
 def _echo_bandwidth(cfg: ExperimentConfig) -> str:
@@ -223,18 +203,14 @@ def _echo_bandwidth(cfg: ExperimentConfig) -> str:
 
 
 def _load_configured_dataset(cfg: ExperimentConfig) -> Dataset:
-    spec = cfg.dataset
-    if spec is None:
+    """The dataset of the config's section, which ``parse_config`` has already checked."""
+    if cfg.dataset is None:
         raise ConfigError("config has no dataset section")
-    if "path" in spec:
-        size = cfg.input_shape[0]
-        return load_dataset(spec["path"], crop=size)
-    if "synthetic" in spec:
-        syn = spec["synthetic"]
-        count = _int_field(syn, "count", 64, 1, "dataset.synthetic.")
-        seed = _int_field(syn, "seed", cfg.seed + 2, 0, "dataset.synthetic.")
-        return synthetic_dataset(count, cfg.input_shape[0], seed=seed)
-    raise ConfigError("dataset section needs a 'path' or a 'synthetic' entry")
+    if cfg.dataset["path"] is not None:
+        return load_dataset(cfg.dataset["path"], crop=cfg.input_shape[0])
+    syn = cfg.dataset["synthetic"]
+    seed = cfg.seed + 2 if syn["seed"] is None else syn["seed"]
+    return synthetic_dataset(syn["count"], cfg.input_shape[0], seed=seed)
 
 
 def _build_model(cfg: ExperimentConfig) -> CodecModel:
@@ -297,15 +273,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _flag_number(text: str) -> float | str:
+    """One item of a comma-separated flag as a float; other text stays text, for the schema to reject."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def cmd_eval(args) -> int:
-    cfg = parse_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    snr_list = cfg.snr_list
-    if args.snr_list:
-        snr_list = _parse_snr_list([float(s) for s in args.snr_list.split(",")])
+    snr_list = None if args.snr_list is None else [_flag_number(s) for s in args.snr_list.split(",")]
+    cfg = parse_config(args.config, {"seed": args.seed, "out_dir": args.out, "snr_list": snr_list})
     ckpt = args.checkpoint or cfg.checkpoint or str(Path(cfg.out_dir) / "checkpoint.dscj")
     model = load_checkpoint(ckpt)
     data = _load_configured_dataset(cfg)
-    rows = evaluate_sweep(model, data, list(snr_list),
+    rows = evaluate_sweep(model, data, list(cfg.snr_list),
                           draws_per_image=cfg.draws_per_image, seed=cfg.seed)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -353,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
                 "train": cmd_train, "eval": cmd_eval}
     try:
         return handlers[args.command](args)
-    except (ConfigError, DatasetError, CheckpointError, TrainingError, ValueError, OSError) as e:
+    except (TrainingError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -42,12 +42,12 @@ class SweepRow:
 
 
 def evaluate_sweep(model: CodecModel, data: Dataset, snr_list: list[float],
-                   draws_per_image: int = 1, seed: int = 0,
-                   power: float | None = None) -> list[SweepRow]:
+                   draws_per_image: int = 1, seed: int = 0) -> list[SweepRow]:
     """Mean/std PSNR per SNR point, averaged over images and noise draws.
 
     Each (snr, image) pair gets its own channel PRNG stream derived from the
-    master seed, so results are independent of evaluation order.  Encoding
+    master seed, so results are independent of evaluation order; every
+    channel transmits at the model's own ``power``.  Encoding
     does not depend on the SNR, so each image is encoded once, at batch 1
     (a batched encode differs in the last bits of the symbols).  At each SNR
     point the noisy draws of every image are stacked in (image, draw) order
@@ -63,14 +63,13 @@ def evaluate_sweep(model: CodecModel, data: Dataset, snr_list: list[float],
     """
     if not snr_list:
         raise ValueError("evaluate_sweep: snr_list must not be empty")
-    power = model.power if power is None else power
     images = [data.images[ii:ii + 1] for ii in range(len(data))]
     codes = [model.encode(image) for image in images]
     rows = []
     for si, snr_db in enumerate(snr_list):
         noisy = []
         for ii, z in enumerate(codes):
-            cfg = ChannelConfig(power=power, snr_db=snr_db,
+            cfg = ChannelConfig(power=model.power, snr_db=snr_db,
                                 seed=_stream_seed(seed, si, ii))
             ch = AwgnChannel(cfg)
             noisy += [ch.transmit(z) for _ in range(draws_per_image)]

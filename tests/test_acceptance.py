@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dscjscc import autodiff as ad
-from dscjscc.autodiff import DIFFERENTIABLE_OPS, Tensor, finite_diff_check
+from dscjscc.autodiff import Tensor
 from dscjscc.channel import ChannelConfig, awgn
 from dscjscc.cli import main
 from dscjscc.complexity import (architecture_complexity, layer_params,
@@ -23,7 +23,7 @@ from dscjscc.metrics import evaluate_sweep
 from dscjscc.model import (VARIANT_ORDER, Activation, CodecModel, LayerKind, LayerSpec,
                            VariantId, build_variant_architecture, init_layer_params)
 from dscjscc.training import TrainConfig, smoothed_endpoints, train
-from oracles import oracle_param_count
+from oracles import DIFFERENTIABLE_OPS, finite_diff_check, oracle_param_count
 
 GOLDEN = Path(__file__).parent / "golden"
 

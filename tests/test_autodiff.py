@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dscjscc import autodiff as ad
-from dscjscc.autodiff import (DIFFERENTIABLE_OPS, AutodiffError, Tensor,
-                              finite_diff_check, gradcheck)
+from dscjscc.autodiff import AutodiffError, Tensor
+from oracles import DIFFERENTIABLE_OPS, finite_diff_check, gradcheck
 
 rng = np.random.default_rng(42)
 

@@ -1,18 +1,25 @@
 """CLI surface: subcommands, strict config parsing, golden outputs, exit codes."""
 
+import copy
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dscjscc import cli
-from dscjscc.cli import (ConfigError, derive_bandwidth, main, parse_config,
+from dscjscc.cli import (ConfigError, ExperimentConfig, derive_bandwidth, main, parse_config,
                          parse_input_size, parse_rho)
 from dscjscc.training import TrainingError
 from test_checkpoint import rewrite_header
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# A valid 16x16x3 baseline config that trains one step.
+VALID_CONFIG = {"variant": "baseline", "input_size": "16x16x3", "c": 4, "max_steps": 1,
+                "dataset": {"synthetic": {"count": 4}}}
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +116,11 @@ class TestConfigParsing:
     def test_consistent_pair_accepted(self):
         k, c, _ = derive_bandwidth((256, 256, 3), rho="1/12", c=8)
         assert (k, c) == (16384, 8)
+
+    def test_rho_without_whole_c_rejected(self):
+        # 1/10 of 768 values is 76.8 symbols; the derived c=9 sends 72, which is rho=3/32.
+        with pytest.raises(ConfigError, match="rho=1/10 .*rho=3/32"):
+            derive_bandwidth((16, 16, 3), rho="1/10")
 
     def test_neither_given_rejected(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -266,10 +278,21 @@ class TestTrainEvalCommands:
         ("checkpoint", 5, "checkpoint"),
         ("out_dir", 5, "out_dir"),
         ("snr_list", [math.nan], "snr_list"),
+        pytest.param("rho", True, "rho", id="rho-true"),
+        pytest.param("rho", [1], "rho", id="rho-list"),
+        pytest.param("rho", "1/0", "rho", id="rho-1-over-0"),
+        pytest.param("dataset", {"synthetic": {"cnt": 4}}, "dataset.synthetic.cnt",
+                     id="dataset-synthetic-unknown-key"),
+        pytest.param("dataset", {"synthetic": {"count": 4}, "bogus": 1}, "dataset.bogus",
+                     id="dataset-unknown-key"),
+        pytest.param("dataset", {"path": "x", "synthetic": {"count": 4}}, "exactly one",
+                     id="dataset-path-and-synthetic"),
+        pytest.param("snr_list", [], "snr_list", id="snr_list-empty"),
     ])
     def test_malformed_config_value_nonzero_exit(self, capsys, tmp_path, key, value, message):
-        cfg = {"variant": "baseline", "input_size": "16x16x3", "c": 4, "max_steps": 1,
-               "dataset": {"synthetic": {"count": 4}}, "out_dir": str(tmp_path / "run")}
+        cfg = {**VALID_CONFIG, "out_dir": str(tmp_path / "run")}
+        if key == "rho":
+            del cfg["c"]  # exactly one of rho / c
         cfg[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
@@ -286,6 +309,11 @@ class TestTrainEvalCommands:
         assert err.startswith("error:") and "snr_list" in err and err.count("\n") == 1
         assert not (out_dir / "sweep.csv").exists()
 
+    def test_non_number_snr_flag_nonzero_exit(self, capsys, desk_config):
+        code, _, err = run_cli(capsys, "eval", "--config", str(desk_config[0]), "--snr-list", "a,5")
+        assert code == 1
+        assert err.startswith("error:") and "snr_list" in err and err.count("\n") == 1
+
     def test_training_error_nonzero_exit(self, capsys, desk_config, monkeypatch):
         def diverge(*_args):
             raise TrainingError("non-finite loss nan at step 0")
@@ -301,3 +329,42 @@ class TestTrainEvalCommands:
         out = capsys.readouterr().out
         for cmd in ("variants", "analyze", "train", "eval"):
             assert cmd in out
+
+
+# Every key a config may hold, as a path into the config's nested sections.
+CONFIG_KEYS = [(key,) for key in (
+    "variant", "input_size", "rho", "c", "power", "train_snr_db", "snr_list", "learning_rate",
+    "batch_size", "epochs", "max_steps", "dataset", "seed", "out_dir", "checkpoint",
+    "draws_per_image")] + [("dataset", "path"), ("dataset", "synthetic"),
+                           ("dataset", "synthetic", "count"), ("dataset", "synthetic", "seed")]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 400, -10 ** 400])
+    | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES)
+def test_fuzzed_config_value_parses_or_raises_value_error(tmp_path, where, value):
+    cfg = copy.deepcopy(VALID_CONFIG)
+    section = cfg
+    for key in where[:-1]:
+        section = section[key]
+    section[where[-1]] = value
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        parsed = parse_config(path)
+    except ValueError:
+        return
+    assert isinstance(parsed, ExperimentConfig)
+    ints = [parsed.c, parsed.k, parsed.batch_size, parsed.epochs, parsed.seed, parsed.draws_per_image]
+    if parsed.max_steps is not None:
+        ints.append(parsed.max_steps)
+    if parsed.dataset is not None and parsed.dataset["synthetic"] is not None:
+        ints += [v for v in parsed.dataset["synthetic"].values() if v is not None]
+    assert all(type(v) is int for v in ints), ints
