@@ -4,6 +4,7 @@
 import argparse
 from pathlib import Path
 
+from dscjscc.cli import ConfigError, parse_input_size
 from dscjscc.complexity import format_table, model_complexity, reduction_report, to_csv
 from dscjscc.model import VARIANT_ORDER, VariantId
 
@@ -15,13 +16,16 @@ def main() -> None:
     ap.add_argument("--csv", type=Path, help="also write the table as CSV")
     args = ap.parse_args()
 
-    w, h, ch = (int(p) for p in args.input.split("x"))
-    reports = [model_complexity(v, (w, h, ch), args.c) for v in VARIANT_ORDER]
+    try:
+        input_shape = parse_input_size(args.input)
+    except ConfigError as e:
+        ap.error(str(e))
+    reports = [model_complexity(v, input_shape, args.c) for v in VARIANT_ORDER]
     print(format_table(reports), end="")
 
     for a, b in [(VariantId.BASELINE, VariantId.R60_E1D1),
                  (VariantId.R60_E1D1, VariantId.R60_E2D2)]:
-        dp, df = reduction_report(a, b, (w, h, ch), args.c)
+        dp, df = reduction_report(a, b, input_shape, args.c)
         print(f"{a.value} -> {b.value}: params -{dp:.1f}%, flops -{df:.1f}%")
 
     if args.csv:

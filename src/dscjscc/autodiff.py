@@ -223,6 +223,3 @@ def mse_mean(a: Tensor, b: Tensor) -> Tensor:
 
     return _node(val, (a, b), vjp)
 
-
-def sum_all(x: Tensor) -> Tensor:
-    return _node(np.array(x.data.sum()), (x,), lambda gy: (np.full_like(x.data, float(gy)),))

@@ -11,8 +11,10 @@ Parameters are stored as 32-bit reals; loading widens back to float64.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from fractions import Fraction
+from dataclasses import asdict
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +30,9 @@ class CheckpointError(ValueError):
     pass
 
 
-def _layer_to_dict(spec: LayerSpec) -> dict:
-    return {
-        "kind": spec.kind.value,
-        "in_channels": spec.in_channels,
-        "out_channels": spec.out_channels,
-        "kernel": spec.kernel,
-        "stride": spec.stride,
-        "padding": spec.padding,
-        "output_padding": spec.output_padding,
-        "activation": spec.activation.value,
-    }
+def _by_value(items: list[tuple[str, object]]) -> dict:
+    """An ``asdict`` factory that writes each enum as its value."""
+    return {key: value.value if isinstance(value, Enum) else value for key, value in items}
 
 
 def _field(obj, key: str, kind: type | tuple[type, ...], where: str):
@@ -74,20 +68,19 @@ def _layer_from_dict(d, where: str) -> LayerSpec:
     )
 
 
+def _stated(arch: ArchitectureSpec) -> tuple[dict, dict]:
+    """Values that the layers fix and a v1 header states too: (in "architecture", at the top)."""
+    return ({"channel_count": arch.channel_count, "latent_dims": list(arch.latent_dims)},
+            {"c": arch.channel_count, "rho": f"{arch.rho.numerator}/{arch.rho.denominator}"})
+
+
 def save_checkpoint(model: CodecModel, path: str | Path) -> None:
-    arch = model.architecture
+    arch_stated, top_stated = _stated(model.architecture)
     header = {
-        "architecture": {
-            "encoder": [_layer_to_dict(s) for s in arch.encoder],
-            "decoder": [_layer_to_dict(s) for s in arch.decoder],
-            "input_shape": list(arch.input_shape),
-            "channel_count": arch.channel_count,
-            "latent_dims": list(arch.latent_dims),
-        },
+        "architecture": {**asdict(model.architecture, dict_factory=_by_value), **arch_stated},
         "variant": model.variant.value if model.variant is not None else None,
-        "rho": f"{arch.rho.numerator}/{arch.rho.denominator}",
-        "c": arch.channel_count,
         "power": model.power,
+        **top_stated,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     out = bytearray()
@@ -108,7 +101,17 @@ def save_checkpoint(model: CodecModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> CodecModel:
+    """The codec saved at ``path``; a file that holds none is a CheckpointError naming ``path``."""
     data = Path(path).read_bytes()
+    try:
+        return _decode(path, data)
+    except CheckpointError:
+        raise
+    except ValueError as e:  # text that is not UTF-8 or JSON, or a value the layers or model reject
+        raise CheckpointError(f"{path}: {e}") from e
+
+
+def _decode(path: str | Path, data: bytes) -> CodecModel:
     if data[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
     pos = 4
@@ -126,10 +129,7 @@ def load_checkpoint(path: str | Path) -> CodecModel:
         raise CheckpointError(f"{path}: format version {version} unsupported "
                               f"(expected {FORMAT_VERSION})")
     header_len = struct.unpack("<I", take(4))[0]
-    try:
-        header = json.loads(take(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: unreadable header: {e}") from e
+    header = json.loads(take(header_len).decode("utf-8"))
 
     where = f"{path}: header"
     adict = _field(header, "architecture", dict, where)
@@ -140,16 +140,13 @@ def load_checkpoint(path: str | Path) -> CodecModel:
         decoder=tuple(_layer_from_dict(d, f"{arch_where} decoder layer {i}")
                       for i, d in enumerate(_field(adict, "decoder", list, arch_where))),
         input_shape=_int_tuple(adict, "input_shape", arch_where),
-        channel_count=_field(adict, "channel_count", int, arch_where),
-        latent_dims=_int_tuple(adict, "latent_dims", arch_where),
     )
-    rho_text = _field(header, "rho", str, where)
-    try:
-        rho = Fraction(rho_text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise CheckpointError(f"{where} field 'rho' is not a fraction: {rho_text!r}") from e
-    if rho != arch.rho:
-        raise CheckpointError(f"{path}: header rho {rho} disagrees with architecture ({arch.rho})")
+    arch_stated, top_stated = _stated(arch)
+    for obj, at, derived in ((adict, arch_where, arch_stated), (header, where, top_stated)):
+        for key, value in derived.items():
+            stated = _field(obj, key, type(value), at)
+            if stated != value:
+                raise CheckpointError(f"{at} field {key!r} is {stated!r}, but the layers give {value!r}")
     variant_name = _field(header, "variant", (str, type(None)), where)
     variant = VariantId(variant_name) if variant_name is not None else None
     power = _field(header, "power", (int, float), where)
@@ -160,10 +157,7 @@ def load_checkpoint(path: str | Path) -> CodecModel:
         name = take(name_len).decode("utf-8")
         rank = struct.unpack("<I", take(4))[0]
         dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)
         arr = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
         params[name] = arr.astype(np.float64)
-    try:
-        return CodecModel(arch, variant=variant, power=power, params=params)
-    except ValueError as e:  # a bad power or a parameter that does not fit the architecture
-        raise CheckpointError(f"{path}: {e}") from e
+    return CodecModel(arch, variant=variant, power=power, params=params)

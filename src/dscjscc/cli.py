@@ -14,17 +14,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .channel import ChannelConfig
 from .checkpoint import load_checkpoint, save_checkpoint
 from .complexity import format_table, model_complexity, reduction_report, to_csv
 from .data import Dataset, load_dataset, synthetic_dataset
 from .metrics import evaluate_sweep, sweep_to_csv
-from .model import (VARIANT_ORDER, VARIANT_PATTERNS, CodecModel, VariantId,
-                    build_variant_architecture)
+from .model import (VARIANT_ORDER, CodecModel, VariantId, build_variant_architecture,
+                    default_base_architecture)
 from .training import TrainConfig, TrainingError, history_to_csv, train
 
 
@@ -118,25 +118,12 @@ def _read_section(section: dict, table: dict, where: str = "") -> dict:
     return parsed
 
 
-@dataclass
-class ExperimentConfig:
-    variant: VariantId
-    input_shape: tuple[int, int, int]
-    rho: Fraction
-    c: int
-    k: int
-    power: float
-    train_snr_db: float
-    snr_list: tuple[float, ...]
-    learning_rate: float
-    batch_size: int
-    epochs: int
-    max_steps: int | None
-    dataset: dict | None
-    seed: int
-    out_dir: str
-    checkpoint: str | None
-    draws_per_image: int
+class ExperimentConfig(SimpleNamespace):
+    """A checked config, with each key of ``_SCHEMA`` as an attribute.
+
+    ``variant`` is a VariantId, and ``input_size``, ``rho`` and ``c`` are
+    resolved into ``input_shape``, ``rho``, ``c`` and ``k``.
+    """
 
 
 def parse_input_size(text: str) -> tuple[int, int, int]:
@@ -155,11 +142,9 @@ def parse_rho(value) -> Fraction:
 
 def derive_bandwidth(input_shape: tuple[int, int, int], rho=None, c=None) -> tuple[int, int, Fraction]:
     """Resolve (k, c, rho) from whichever of rho / c was given; a given rho must give a whole c."""
-    w, h, ch = input_shape
-    n = w * h * ch
-    if w % 4 or h % 4:
-        raise ConfigError(f"input spatial dims must be multiples of 4, got {w}x{h}")
-    hbar, wbar = h // 4, w // 4
+    # the layers fix the latent size whatever c is; c = 2 always gives an even symbol count
+    base = default_base_architecture(input_shape, 2)
+    n, (hbar, wbar) = base.n, base.latent_dims
     if rho is None and c is None:
         raise ConfigError("exactly one of rho / c must be given")
     if rho is not None:
@@ -193,8 +178,8 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
         raise ConfigError("dataset needs exactly one of 'path' / 'synthetic'")
     input_shape = parse_input_size(cfg.pop("input_size"))
     k, c, rho = derive_bandwidth(input_shape, cfg.pop("rho"), cfg.pop("c"))
-    return ExperimentConfig(variant=VariantId.from_name(cfg.pop("variant")), input_shape=input_shape,
-                            rho=rho, c=c, k=k, **cfg)
+    variant = VariantId.from_name(cfg.pop("variant"))
+    return ExperimentConfig(**cfg, variant=variant, input_shape=input_shape, rho=rho, c=c, k=k)
 
 
 def _echo_bandwidth(cfg: ExperimentConfig) -> str:
@@ -215,7 +200,10 @@ def _load_configured_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def _build_model(cfg: ExperimentConfig) -> CodecModel:
     arch = build_variant_architecture(cfg.variant, cfg.input_shape, cfg.c)
-    return CodecModel(arch, variant=cfg.variant, power=cfg.power, seed=cfg.seed)
+    try:
+        return CodecModel(arch, variant=cfg.variant, power=cfg.power, seed=cfg.seed)
+    except OverflowError as e:  # a c whose weight scale does not fit a float
+        raise ConfigError(f"c is too large to build the model ({e})") from e
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +212,9 @@ def _build_model(cfg: ExperimentConfig) -> CodecModel:
 
 def cmd_variants(_args) -> int:
     for v in VARIANT_ORDER:
-        enc_mask, dec_mask = VARIANT_PATTERNS[v]
-        enc = ",".join("DSConv" if m == "D" else "Conv" for m in enc_mask)
-        dec = ",".join("DSTConv" if m == "D" else "TConv" for m in dec_mask)
+        arch = build_variant_architecture(v)
+        enc = ",".join(layer.kind.value for layer in arch.encoder)
+        dec = ",".join(layer.kind.value for layer in arch.decoder)
         print(f"{v.value}: enc {enc} | dec {dec}")
     return 0
 

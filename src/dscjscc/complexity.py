@@ -54,8 +54,14 @@ class LayerRow:
 class ComplexityReport:
     variant: VariantId
     rows: tuple[LayerRow, ...]
-    total_params: int
-    total_flops: int
+
+    @property
+    def total_params(self) -> int:
+        return sum(row.params for row in self.rows)
+
+    @property
+    def total_flops(self) -> int:
+        return sum(row.flops for row in self.rows)
 
     @property
     def params_display(self) -> str:
@@ -70,15 +76,12 @@ class ComplexityReport:
 
 def architecture_complexity(variant: VariantId, arch: ArchitectureSpec) -> ComplexityReport:
     rows = []
-    w, h, _ = arch.input_shape
-    hh, ww = h, w
+    out_dims = iter(arch.out_dims)
     for side, layers in (("encoder", arch.encoder), ("decoder", arch.decoder)):
         for i, spec in enumerate(layers):
-            hh, ww = spec.out_dim(hh), spec.out_dim(ww)
             rows.append(LayerRow(side, i + 1, spec.kind.value,
-                                 layer_params(spec), layer_flops(spec, hh, ww)))
-    return ComplexityReport(variant, tuple(rows),
-                            sum(r.params for r in rows), sum(r.flops for r in rows))
+                                 layer_params(spec), layer_flops(spec, *next(out_dims))))
+    return ComplexityReport(variant, tuple(rows))
 
 
 def model_complexity(variant: VariantId,

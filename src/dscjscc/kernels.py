@@ -29,12 +29,7 @@ dense conv is W(Cout, C*k*k) @ cols(C*k*k, Ho*Wo*N), and the product is
 already the (C, H, W, N) output; a pointwise conv's cols are the input
 itself, reshaped without a copy (MobileNets, arXiv:1704.04861, runs its 1x1
 layers the same way).  The weight gradient is gy(Cout, Ho*Wo*N) @ cols.T, and
-the input adjoint's stamps are W.T @ gy.  The layout replaced NCHW between
-layers, with (H, W, C, N) copies inside the depthwise kernels and
-(N*Ho*Wo, C*k*k) im2col rows inside the dense ones, so that each kernel
-converted its input and its output.  On one CPU, the kernel calls of one
-batch-32 forward and backward pass of all ten layers took 108 instead of
-153 ms on dsc-jscc-100 and 135 instead of 182 ms on the baseline.
+the input adjoint's stamps are W.T @ gy.
 
 Every depthwise kernel runs as batched BLAS GEMMs too.  MEC (Cho & Brand,
 arXiv:1706.06873) lowers a convolution along one spatial axis only:
@@ -49,8 +44,6 @@ is each tile's ``gy`` rows times its window transposed, summed over tiles
 and read back off the band.  The band carries L*k entries per row for k*k
 taps, so taller tiles waste more of each GEMM and shorter ones make more
 calls; 2- and 4-row tiles measured alike and best, 1, 3, 6, 8 and 16 slower.
-This replaced einsums over strided window views, which ran at 0.15-0.57
-GMAC/s against 6-8 GMAC/s for the dense GEMMs.
 
 The input adjoint works per output phase.  A stride-s transposed
 convolution splits into s*s stride-1 sums, one per output phase: the rows

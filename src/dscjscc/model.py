@@ -10,9 +10,10 @@ and rescaled to a fixed average transmit power before hitting the channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +41,6 @@ class Activation(Enum):
     PRELU = "prelu"
     SIGMOID = "sigmoid"
     NONE = "none"
-
-
-ENCODER_KINDS = (LayerKind.CONV, LayerKind.DSCONV)
-DECODER_KINDS = (LayerKind.TCONV, LayerKind.DSTCONV)
 
 
 @dataclass(frozen=True)
@@ -79,42 +76,51 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Five encoder layers, five decoder layers, and the derived latent geometry.
+    """Five encoder layers, five decoder layers, and the (W, H, C) input they map back to.
 
-    input_shape is (W, H, C); latent_dims is (H_bar, W_bar).
+    The latent geometry follows from the layers: ``channel_count`` is the
+    encoder's last output channel count and ``latent_dims`` its output
+    (H_bar, W_bar).
     """
 
     encoder: tuple[LayerSpec, ...]
     decoder: tuple[LayerSpec, ...]
     input_shape: tuple[int, int, int]
-    channel_count: int
-    latent_dims: tuple[int, int]
 
     def __post_init__(self) -> None:
         if len(self.encoder) != 5 or len(self.decoder) != 5:
             raise ShapeError(f"architecture must have 5+5 layers, got {len(self.encoder)}+{len(self.decoder)}")
-        for layer in self.encoder:
-            if layer.kind not in ENCODER_KINDS:
-                raise ShapeError(f"encoder layer kind {layer.kind.value} invalid")
-        for layer in self.decoder:
-            if layer.kind not in DECODER_KINDS:
-                raise ShapeError(f"decoder layer kind {layer.kind.value} invalid")
-        w, h, c = self.input_shape
-        if self.encoder[-1].out_channels != self.channel_count:
-            raise ShapeError("encoder output channels != channel_count")
+        for side, layers, transposed in (("encoder", self.encoder, False), ("decoder", self.decoder, True)):
+            for layer in layers:
+                if layer.kind.is_transposed != transposed:
+                    raise ShapeError(f"{side} layer kind {layer.kind.value} invalid")
         if self.decoder[0].in_channels != self.channel_count:
-            raise ShapeError("decoder input channels != channel_count")
-        hh, ww = h, w
-        for layer in self.encoder:
-            hh, ww = layer.out_dim(hh), layer.out_dim(ww)
-        if (hh, ww) != self.latent_dims:
-            raise ShapeError(f"encoder maps {h}x{w} to {hh}x{ww}, expected latent {self.latent_dims}")
-        for layer in self.decoder:
-            hh, ww = layer.out_dim(hh), layer.out_dim(ww)
-        if (hh, ww) != (h, w):
+            raise ShapeError("decoder input channels != encoder output channels")
+        w, h, _ = self.input_shape
+        if self.out_dims[-1] != (h, w):
+            hh, ww = self.out_dims[-1]
             raise ShapeError(f"decoder maps latent back to {hh}x{ww}, expected {h}x{w}")
         if (self.channel_count * self.latent_dims[0] * self.latent_dims[1]) % 2 != 0:
-            raise ShapeError("latent element count must be even to pair into complex symbols")
+            raise ShapeError(f"channel_count {self.channel_count} at latent "
+                             f"{self.latent_dims[0]}x{self.latent_dims[1]} gives an odd symbol count")
+
+    @cached_property  # k, latent_dims and the codec's graph read it on every call
+    def out_dims(self) -> tuple[tuple[int, int], ...]:
+        """(H, W) after each layer, the five encoder layers first."""
+        w, h, _ = self.input_shape
+        dims = []
+        for layer in self.encoder + self.decoder:
+            h, w = layer.out_dim(h), layer.out_dim(w)
+            dims.append((h, w))
+        return tuple(dims)
+
+    @property
+    def channel_count(self) -> int:
+        return self.encoder[-1].out_channels
+
+    @property
+    def latent_dims(self) -> tuple[int, int]:
+        return self.out_dims[len(self.encoder) - 1]
 
     @property
     def n(self) -> int:
@@ -169,12 +175,8 @@ VARIANT_PATTERNS: dict[VariantId, tuple[str, str]] = {
 }
 
 # Listing order mirrors the complexity table: baseline, ratio sweep up to 60,
-# position sweep, then the high ratios.
-VARIANT_ORDER = (
-    VariantId.BASELINE, VariantId.R20, VariantId.R40, VariantId.R60_E1D1,
-    VariantId.R60_E2D1, VariantId.R60_E2D2, VariantId.R60_E2D3,
-    VariantId.R60_E1D2, VariantId.R60_E3D2, VariantId.R80, VariantId.R100,
-)
+# position sweep, then the high ratios; VariantId is declared in that order.
+VARIANT_ORDER = tuple(VariantId)
 
 
 def default_base_architecture(input_shape: tuple[int, int, int] = (256, 256, 3),
@@ -189,9 +191,6 @@ def default_base_architecture(input_shape: tuple[int, int, int] = (256, 256, 3),
         raise ShapeError(f"input shape {input_shape} too small for the 5+5 codec")
     if w % 4 != 0 or h % 4 != 0:
         raise ShapeError(f"input spatial dims must be multiples of 4 to round-trip, got {w}x{h}")
-    hbar, wbar = h // 4, w // 4
-    if (channel_count * hbar * wbar) % 2 != 0:
-        raise ShapeError(f"channel_count {channel_count} at latent {hbar}x{wbar} gives an odd symbol count")
     k = 5
     enc_filters = (16, 32, 32, 32, channel_count)
     enc_strides = (2, 2, 1, 1, 1)
@@ -209,32 +208,21 @@ def default_base_architecture(input_shape: tuple[int, int, int] = (256, 256, 3),
         dec_layers.append(LayerSpec(LayerKind.TCONV, cin, cout, k, s, 2,
                                     output_padding=s - 1, activation=act))
         cin = cout
-    return ArchitectureSpec(tuple(enc_layers), tuple(dec_layers), input_shape,
-                            channel_count, (hbar, wbar))
+    return ArchitectureSpec(tuple(enc_layers), tuple(dec_layers), input_shape)
 
 
 def build_variant(variant: VariantId, base: ArchitectureSpec) -> ArchitectureSpec:
     """Rewrite layer kinds per the variant pattern; everything else is untouched."""
     if variant not in VARIANT_PATTERNS:
         raise ValueError(f"unknown variant {variant!r}")
-    for layer in base.encoder:
-        if layer.kind is not LayerKind.CONV:
-            raise ShapeError("build_variant requires an all-standard base architecture")
-    for layer in base.decoder:
-        if layer.kind is not LayerKind.TCONV:
-            raise ShapeError("build_variant requires an all-standard base architecture")
+    if any(layer.kind.is_separable for layer in base.encoder + base.decoder):
+        raise ShapeError("build_variant requires an all-standard base architecture")
     enc_mask, dec_mask = VARIANT_PATTERNS[variant]
-
-    def rewrite(layer: LayerSpec, sep: bool, transposed: bool) -> LayerSpec:
-        if not sep:
-            return layer
-        kind = LayerKind.DSTCONV if transposed else LayerKind.DSCONV
-        return LayerSpec(kind, layer.in_channels, layer.out_channels, layer.kernel,
-                         layer.stride, layer.padding, layer.output_padding, layer.activation)
-
-    enc = tuple(rewrite(l, m == "D", False) for l, m in zip(base.encoder, enc_mask))
-    dec = tuple(rewrite(l, m == "D", True) for l, m in zip(base.decoder, dec_mask))
-    return ArchitectureSpec(enc, dec, base.input_shape, base.channel_count, base.latent_dims)
+    enc = tuple(replace(l, kind=LayerKind.DSCONV) if m == "D" else l
+                for l, m in zip(base.encoder, enc_mask))
+    dec = tuple(replace(l, kind=LayerKind.DSTCONV) if m == "D" else l
+                for l, m in zip(base.decoder, dec_mask))
+    return ArchitectureSpec(enc, dec, base.input_shape)
 
 
 def build_variant_architecture(variant: VariantId,
@@ -408,8 +396,8 @@ class CodecModel:
         if single:
             image = image[None]
         normalize_pixels(image)  # range check
-        flat = self.encode_graph(Tensor(image)).data
-        z = flat[:, 0::2] + 1j * flat[:, 1::2]
+        # power_normalize returns an F-ordered block when N > 1; the view needs C order
+        z = np.ascontiguousarray(self.encode_graph(Tensor(image)).data).view(np.complex128)
         return z[0] if single else z
 
     def decode(self, z: np.ndarray) -> np.ndarray:
@@ -419,9 +407,7 @@ class CodecModel:
         zb = z[None, :] if single else z
         if zb.shape[1] != self.k:
             raise ShapeError(f"decode: expected {self.k} symbols per item, got {zb.shape[1]}")
-        flat = np.empty((zb.shape[0], 2 * self.k), dtype=np.float64)
-        flat[:, 0::2] = zb.real
-        flat[:, 1::2] = zb.imag
+        flat = np.ascontiguousarray(zb, dtype=np.complex128).view(np.float64)
         x01 = self.decode_graph(Tensor(flat)).data
         out = denormalize_pixels(x01)
         return out[0] if single else out

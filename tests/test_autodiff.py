@@ -5,7 +5,7 @@ import pytest
 
 from dscjscc import autodiff as ad
 from dscjscc.autodiff import AutodiffError, Tensor
-from oracles import DIFFERENTIABLE_OPS, finite_diff_check, gradcheck
+from oracles import DIFFERENTIABLE_OPS, finite_diff_check, gradcheck, sum_all
 
 rng = np.random.default_rng(42)
 
@@ -41,7 +41,7 @@ def test_conv_weight_gradient_analytic():
     x = Tensor(np.full((1, 4, 6, 1), v))
     w = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
     out = ad.conv2d(x, w, None, 1, 0)
-    ad.sum_all(out).backward()
+    sum_all(out).backward()
     assert w.grad[0, 0, 0, 0] == pytest.approx(4 * 6 * v)
 
 
@@ -78,8 +78,8 @@ def test_gradients_accumulate_across_reuse():
     x = Tensor(np.full((1, 1, 2, 2), 2.0), requires_grad=True)
     y = ad.scale(x, 3.0)
     z = ad.scale(x, 5.0)
-    total = ad.sum_all(ad.add_constant(y, np.zeros_like(y.data)))
-    total2 = ad.sum_all(z)
+    total = sum_all(ad.add_constant(y, np.zeros_like(y.data)))
+    total2 = sum_all(z)
     total.backward()
     total2.backward()
     np.testing.assert_allclose(x.grad, np.full((1, 1, 2, 2), 8.0))
@@ -100,7 +100,7 @@ def test_gradcheck_on_composed_graph():
         h = ad.conv2d(t["x"], t["w1"], None, 2, 1)
         h = ad.sigmoid(h)
         h = ad.pointwise_conv2d(h, t["w2"], None)
-        return ad.sum_all(h)
+        return sum_all(h)
 
     errs = gradcheck(build, {"x": x, "w1": w1, "w2": w2})
     assert max(errs.values()) < 1e-6

@@ -1,10 +1,13 @@
 """Checkpoint format: byte-stable round trips, tamper rejection, scalar counts."""
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dscjscc.checkpoint import (FORMAT_VERSION, MAGIC, CheckpointError,
                                 load_checkpoint, save_checkpoint)
@@ -117,3 +120,56 @@ class TestTampering:
 
     def test_header_magic_constant(self):
         assert MAGIC == b"DSCJ"
+
+    @pytest.mark.parametrize("key,edit", [
+        ("channel_count", lambda h: h["architecture"].update(channel_count=6)),
+        ("latent_dims", lambda h: h["architecture"].update(latent_dims=[4, 8])),
+        ("c", lambda h: h.update(c=6)),
+        ("rho", lambda h: h.update(rho="1/12")),
+    ], ids=["channel_count", "latent_dims", "c", "rho"])
+    def test_stated_value_that_disagrees_with_layers_rejected(self, small_model, tmp_path, key, edit):
+        p = tmp_path / "m.dscj"
+        save_checkpoint(small_model, p)
+        rewrite_header(p, edit)
+        with pytest.raises(CheckpointError, match=f"'{key}' .* but the layers give"):
+            load_checkpoint(p)
+
+
+def structure_offsets(raw):
+    """Offsets of every byte of a checkpoint that is not float32 tensor data."""
+    (length,) = struct.unpack("<I", raw[8:12])
+    offsets, pos = list(range(12 + length)), 12 + length
+    while pos < len(raw):
+        (name_len,) = struct.unpack("<I", raw[pos:pos + 4])
+        (rank,) = struct.unpack("<I", raw[pos + 4 + name_len:pos + 8 + name_len])
+        meta = 8 + name_len + 4 * rank
+        dims = struct.unpack(f"<{rank}I", raw[pos + 8 + name_len:pos + meta])
+        offsets += range(pos, pos + meta)
+        pos += meta + 4 * math.prod(dims)
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    arch = build_variant_architecture(VariantId.R60_E2D2, (16, 16, 3), 4)
+    path = tmp_path_factory.mktemp("fuzz") / "m.dscj"
+    save_checkpoint(CodecModel(arch, variant=VariantId.R60_E2D2, seed=2), path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_raises_checkpoint_error(saved_checkpoint, data):
+    raw = saved_checkpoint.read_bytes()
+    # half the draws aim at the header and tensor metadata, which are a small part of the file
+    offset = st.integers(0, len(raw) - 1) | st.sampled_from(structure_offsets(raw))
+    mutated = bytearray(raw)
+    for pos, value in data.draw(st.lists(st.tuples(offset, st.integers(0, 255)),
+                                         min_size=1, max_size=3)):
+        mutated[pos] = value
+    target = saved_checkpoint.with_name("mutated.dscj")
+    target.write_bytes(bytes(mutated))
+    try:
+        load_checkpoint(target)
+    except CheckpointError as e:
+        assert str(e).startswith(str(target))

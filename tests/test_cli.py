@@ -288,6 +288,7 @@ class TestTrainEvalCommands:
         pytest.param("dataset", {"path": "x", "synthetic": {"count": 4}}, "exactly one",
                      id="dataset-path-and-synthetic"),
         pytest.param("snr_list", [], "snr_list", id="snr_list-empty"),
+        pytest.param("c", 10 ** 400, "c is too large", id="c-huge-int"),
     ])
     def test_malformed_config_value_nonzero_exit(self, capsys, tmp_path, key, value, message):
         cfg = {**VALID_CONFIG, "out_dir": str(tmp_path / "run")}
