@@ -4,6 +4,9 @@ A :class:`Tensor` wraps a float64 numpy array and remembers how it was
 produced.  Calling :meth:`Tensor.backward` on a scalar (or with an explicit
 upstream gradient) walks the recorded graph in reverse topological order and
 accumulates gradients into every leaf created with ``requires_grad=True``.
+An operation none of whose inputs requires a gradient records nothing, so in
+a pass over constants, such as the codec's ``encode`` and ``decode``, each
+result is freed once the next operation has read it.
 
 Only the operations the codec needs exist here; there is no broadcasting
 beyond per-channel parameters.  Convolution and activation nodes take and
@@ -97,15 +100,16 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
     parent, which the parents keep as their gradients; a VJP that passes
     ``gy`` on, or a view of it, is not owned, and its gradients are copied.
     """
-    req = any(p.requires_grad for p in parents)
+    if not any(p.requires_grad for p in parents):
+        # a constant keeps neither its parents nor ``vjp``, nor the arrays ``vjp`` holds
+        return Tensor(data)
 
     def backward(gy: np.ndarray) -> None:
         for p, g in zip(parents, vjp(gy)):
             if p.requires_grad:
                 p._accumulate(g, owned)
 
-    return Tensor(data, requires_grad=req, parents=parents,
-                  backward_fn=backward if req else None)
+    return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward)
 
 
 def _conv_parents(x: Tensor, w: Tensor, b: Tensor | None) -> tuple[Tensor, ...]:

@@ -5,7 +5,8 @@ Layout (all integers little-endian u32):
     b"DSCJ" | version | header_len | header JSON (utf-8)
     then per tensor: name_len | name | rank | dims... | float32 data
 
-Parameters are stored as 32-bit reals; loading widens back to float64.
+Parameters are stored as 32-bit reals; loading widens back to float64 and
+rejects a NaN or infinite weight.
 """
 
 from __future__ import annotations
@@ -159,5 +160,7 @@ def _decode(path: str | Path, data: bytes) -> CodecModel:
         dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
         count = math.prod(dims)
         arr = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
+        if not np.isfinite(arr).all():  # before the cast, which warns on a signalling NaN
+            raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite weight")
         params[name] = arr.astype(np.float64)
     return CodecModel(arch, variant=variant, power=power, params=params)

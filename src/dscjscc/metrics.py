@@ -53,13 +53,15 @@ def evaluate_sweep(model: CodecModel, data: Dataset, snr_list: list[float],
     point the noisy draws of every image are stacked in (image, draw) order
     and decoded in consecutive slices of at most ``_DECODE_BATCH`` rows.
     Decoding is row-independent, so slicing changes no row beyond float
-    round-off.  Why 16: a batch-1 decoder call is mostly per-call overhead,
-    and at 32x32x3 a 16-row slice halved the sweep against one call per
-    draw.  With the depthwise kernels as batched GEMMs, whose cost grows with
-    the rows, 16 is still the fastest: on a 48-image, 3-draw, 5-SNR e2d2
-    sweep, timed interleaved in one process, 8 rows took 1.14x its time,
-    24 rows 1.46x and 32 rows 1.34x, with tracemalloc peaks of 5.4, 9.2,
-    13.0 and 16.8 MB at 8, 16, 24 and 32 rows.
+    round-off.  The encodes and decodes run on constant parameters and hold
+    no autodiff graph, so each layer's activation is freed once the next
+    layer has read it.  Why 16: a batch-1 decoder call is mostly per-call
+    overhead, and at 32x32x3 a 16-row slice halved the sweep against one call
+    per draw.  On a 48-image, 3-draw, 5-SNR e2d2 sweep, timed interleaved in
+    one process, 8 rows took 1.10x its time, 24 rows 0.96x and 32 rows
+    0.99x, with tracemalloc peaks of 3.6, 5.5, 7.4 and 9.4 MB at 8, 16, 24
+    and 32 rows (5.5, 9.2, 12.9 and 16.7 MB while decodes kept their graph);
+    16 stays, as a new slicing would move the sweep's PSNRs in the last bits.
     """
     if not snr_list:
         raise ValueError("evaluate_sweep: snr_list must not be empty")

@@ -324,10 +324,13 @@ class CodecModel:
         self.power = float(power)
         self.seed = seed
         self.params: dict[str, Tensor] = {}
+        # per side and layer: its parameters by name, and constants sharing their arrays
+        self._layers: dict[str, list[tuple[dict[str, Tensor], dict[str, Tensor]]]] = {"enc": [], "dec": []}
         rng = np.random.default_rng(seed)
         for side, layers in (("enc", architecture.encoder), ("dec", architecture.decoder)):
             for i, spec in enumerate(layers):
                 fresh = init_layer_params(spec, rng)
+                trained, fixed = {}, {}
                 for name, arr in fresh.items():
                     key = f"{side}{i}.{name}"
                     if params is not None:
@@ -337,7 +340,9 @@ class CodecModel:
                             raise ShapeError(f"parameter {key} has shape {params[key].shape}, "
                                              f"expected {arr.shape}")
                         arr = np.asarray(params[key], dtype=np.float64)
-                    self.params[key] = Tensor(arr, requires_grad=True)
+                    self.params[key] = trained[name] = Tensor(arr, requires_grad=True)
+                    fixed[name] = Tensor(trained[name].data)
+                self._layers[side].append((trained, fixed))
         if params is not None and len(params) != len(self.params):
             extra = set(params) - set(self.params)
             raise ShapeError(f"checkpoint carries unknown parameters: {sorted(extra)}")
@@ -358,34 +363,30 @@ class CodecModel:
     def num_parameters(self) -> int:
         return sum(t.data.size for t in self.params.values())
 
-    def _layer_params(self, side: str, i: int) -> dict[str, Tensor]:
-        prefix = f"{side}{i}."
-        return {k[len(prefix):]: t for k, t in self.params.items() if k.startswith(prefix)}
-
     # -- graph-building pieces (used by training) ------------------------
-    def encode_graph(self, x_raw: Tensor) -> Tensor:
-        """Raw [0,255] images -> power-normalized (N, 2k) interleaved symbols."""
+    def encode_graph(self, x_raw: Tensor, *, constant: bool = False) -> Tensor:
+        """Raw [0,255] images -> power-normalized (N, 2k) symbols; a ``constant`` pass records no graph."""
         w, h, c = self.architecture.input_shape
         if x_raw.data.ndim != 4 or x_raw.data.shape[1:] != (c, h, w):
             raise ShapeError(f"encode: input shape {x_raw.data.shape} does not match "
                              f"architecture (N,{c},{h},{w})")
         n = x_raw.data.shape[0]
         x = ad.transpose(ad.scale(x_raw, 1.0 / 255.0), _TO_CHWN)
-        for i, spec in enumerate(self.architecture.encoder):
-            x = _apply_layer(x, spec, self._layer_params("enc", i))
+        for spec, (trained, fixed) in zip(self.architecture.encoder, self._layers["enc"]):
+            x = _apply_layer(x, spec, fixed if constant else trained)
         # symbols in each image's (c, h, w) order, as an NCHW latent flattens
         flat = ad.reshape(ad.transpose(x, _TO_NCHW), (n, 2 * self.k))
         return ad.power_normalize(flat, self.k, self.power)
 
-    def decode_graph(self, symbols: Tensor) -> Tensor:
-        """(N, 2k) interleaved symbols -> reconstructed images in [0, 1]."""
+    def decode_graph(self, symbols: Tensor, *, constant: bool = False) -> Tensor:
+        """(N, 2k) interleaved symbols -> reconstructed images in [0, 1]; ``constant`` as in ``encode_graph``."""
         if symbols.data.ndim != 2 or symbols.data.shape[1] != 2 * self.k:
             raise ShapeError(f"decode: symbol block shape {symbols.data.shape} != (N, {2 * self.k})")
         hbar, wbar = self.architecture.latent_dims
         x = ad.reshape(symbols, (symbols.data.shape[0], self.architecture.channel_count, hbar, wbar))
         x = ad.transpose(x, _TO_CHWN)
-        for i, spec in enumerate(self.architecture.decoder):
-            x = _apply_layer(x, spec, self._layer_params("dec", i))
+        for spec, (trained, fixed) in zip(self.architecture.decoder, self._layers["dec"]):
+            x = _apply_layer(x, spec, fixed if constant else trained)
         return ad.transpose(x, _TO_NCHW)
 
     # -- public ndarray surface ------------------------------------------
@@ -397,7 +398,7 @@ class CodecModel:
             image = image[None]
         normalize_pixels(image)  # range check
         # power_normalize returns an F-ordered block when N > 1; the view needs C order
-        z = np.ascontiguousarray(self.encode_graph(Tensor(image)).data).view(np.complex128)
+        z = np.ascontiguousarray(self.encode_graph(Tensor(image), constant=True).data).view(np.complex128)
         return z[0] if single else z
 
     def decode(self, z: np.ndarray) -> np.ndarray:
@@ -408,6 +409,6 @@ class CodecModel:
         if zb.shape[1] != self.k:
             raise ShapeError(f"decode: expected {self.k} symbols per item, got {zb.shape[1]}")
         flat = np.ascontiguousarray(zb, dtype=np.complex128).view(np.float64)
-        x01 = self.decode_graph(Tensor(flat)).data
+        x01 = self.decode_graph(Tensor(flat), constant=True).data
         out = denormalize_pixels(x01)
         return out[0] if single else out

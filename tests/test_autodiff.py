@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dscjscc import autodiff as ad
+from dscjscc import kernels
 from dscjscc.autodiff import AutodiffError, Tensor
 from oracles import DIFFERENTIABLE_OPS, finite_diff_check, gradcheck, sum_all
 
@@ -112,3 +113,17 @@ def test_forward_is_bitwise_deterministic():
     a = ad.conv2d(Tensor(x), Tensor(w), None, 2, 2).data
     b = ad.conv2d(Tensor(x.copy()), Tensor(w.copy()), None, 2, 2).data
     np.testing.assert_array_equal(a, b)
+
+
+def test_constants_record_no_graph():
+    x = rng.standard_normal((2, 6, 6, 3))  # (C, H, W, N)
+    w = rng.standard_normal((4, 2, 3, 3))
+    y = ad.prelu(ad.conv2d(Tensor(x), Tensor(w), None, 1, 1), Tensor(np.full(4, 0.25)))
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    # one parent that requires a gradient still records the node and back-propagates
+    wt = Tensor(w, requires_grad=True)
+    out = ad.conv2d(Tensor(x), wt, None, 1, 1)
+    assert out.requires_grad and len(out._parents) == 2 and out._backward is not None
+    sum_all(out).backward()
+    expected = kernels.conv2d_backward(x, w, np.ones_like(out.data), 1, 1, input_grad=False)[1]
+    np.testing.assert_array_equal(wt.grad, expected)

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ class TestTampering:
         rewrite_header(p, HEADER_EDITS[field])
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0x7F800000],
+                             ids=["quiet-nan", "signalling-nan", "inf"])
+    def test_non_finite_weight_rejected(self, small_model, tmp_path, bits):
+        p = tmp_path / "m.dscj"
+        save_checkpoint(small_model, p)
+        raw = bytearray(p.read_bytes())
+        # the last tensor's data ends the file; overwrite its final float32
+        raw[-4:] = struct.pack("<I", bits)
+        p.write_bytes(bytes(raw))
+        name = list(small_model.params)[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointError, match=f"tensor '{name}' holds a NaN or infinite"):
+                load_checkpoint(p)
 
     def test_header_magic_constant(self):
         assert MAGIC == b"DSCJ"

@@ -242,6 +242,21 @@ class TestActivations:
         with np.errstate(over="raise", invalid="raise"):
             assert sigmoid_forward(np.array([[[[1000.0, -1000.0]]]])).tolist() == [[[[1.0, 0.0]]]]
 
+    def test_prelu_backward_equals_two_branch_formula_bitwise(self):
+        x = rng.standard_normal((3, 8, 8, 4))
+        gy = rng.standard_normal(x.shape)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        x.flat[:6] = gy.flat[6:12] = special
+        x.flat[12:18] = gy.flat[12:18] = special
+        x.flat[18:24] = gy.flat[18:24] = special[::-1]
+        slopes = np.array([0.25, -1.5, 0.0])
+        pos = x >= 0
+        with np.errstate(invalid="ignore"):  # 0 * inf, planted on purpose
+            expected = slopes[:, None, None, None] * gy
+            gx = kernels.prelu_backward(x, slopes, gy)[0]
+        expected[pos] = gy[pos]
+        np.testing.assert_array_equal(gx.view(np.int64), expected.view(np.int64))
+
 
 # ---------------------------------------------------------------------------
 # randomized shape-formula properties

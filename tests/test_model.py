@@ -1,5 +1,6 @@
 """Architecture construction, variant patterns, pixel/symbol plumbing, codec contracts."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dscjscc import autodiff as ad
+from dscjscc import model as model_module
 from dscjscc.autodiff import Tensor
+from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.kernels import ShapeError
 from dscjscc.model import (VARIANT_ORDER, VARIANT_PATTERNS, Activation, CodecModel,
                            LayerKind, VariantId, build_variant,
                            build_variant_architecture, default_base_architecture,
                            denormalize_pixels, normalize_pixels)
+from dscjscc.training import Adam, train_step
 from oracles import reshape_to_complex
 
 rng = np.random.default_rng(7)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 class TestBaseArchitecture:
@@ -303,6 +311,67 @@ class TestCodec:
         rows = np.concatenate([m.decode(block[i:i + 1]) for i in range(len(block))])
         np.testing.assert_allclose(m.decode(block), rows, rtol=0, atol=1e-12)
         np.testing.assert_allclose(m.decode(block[::-1])[::-1], rows, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _check_passes_equal_graph(m, images, z):
+        """``encode`` and ``decode`` equal the graph passes on trainable parameters, bit for bit."""
+        graph = m.encode_graph(Tensor(images))
+        assert graph.requires_grad
+        np.testing.assert_array_equal(_bits(m.encode(images).view(np.float64)), _bits(graph.data))
+        flat = z.view(np.float64)
+        np.testing.assert_array_equal(_bits(m.decode(z)), _bits(m.decode_graph(Tensor(flat)).data * 255.0))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("variant", list(VARIANT_ORDER))
+    def test_encode_and_decode_equal_the_graph_bitwise(self, variant, batch):
+        m = self._model(variant, size=16, c=4, seed=6)
+        images = rng.uniform(0, 255, size=(batch, 3, 16, 16))
+        z = m.encode(images)
+        noisy = z + 0.3 * (rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape))
+        self._check_passes_equal_graph(m, images, noisy)
+        symbols = m.encode_graph(Tensor(images), constant=True)
+        assert not symbols.requires_grad and symbols._parents == ()
+
+    def test_encode_and_decode_see_trained_weights(self):
+        # the constants share their arrays with the parameters that Adam updates in place
+        m = self._model(size=16, c=4, seed=6)
+        images = rng.uniform(0, 255, size=(4, 3, 16, 16))
+        before = m.encode(images[:1])
+        train_step(m, images, AwgnChannel(ChannelConfig(snr_db=10.0, seed=1)), Adam(m.params))
+        z = m.encode(images[:1])
+        assert not np.array_equal(z, before)
+        self._check_passes_equal_graph(m, images[:1], z)
+
+    def test_each_layer_runs_through_the_module_hook(self, monkeypatch):
+        # perfbench's tracer times the layers by replacing model._apply_layer
+        m = self._model(size=16, c=4, seed=6)
+        apply, calls = model_module._apply_layer, []
+
+        def counted(x, spec, params):
+            calls.append(spec)
+            return apply(x, spec, params)
+
+        monkeypatch.setattr(model_module, "_apply_layer", counted)
+        images = rng.uniform(0, 255, size=(2, 3, 16, 16))
+        m.decode(m.encode(images))
+        assert calls == list(m.architecture.encoder + m.architecture.decoder)
+        train_step(m, images, AwgnChannel(ChannelConfig(snr_db=10.0, seed=1)), Adam(m.params))
+        assert len(calls) == 20
+
+    def test_decode_frees_each_activation_after_use(self):
+        # a decode that kept its graph would hold all ten layers' activations at once
+        m = self._model(VariantId.R60_E2D2)
+        z = m.encode(rng.uniform(0, 255, size=(16, 3, 32, 32)))
+        flat = Tensor(z.view(np.float64))
+        peaks = []
+        for decode in (lambda: m.decode(z), lambda: m.decode_graph(flat)):
+            tracemalloc.start()
+            try:
+                decode()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.6 * peaks[1], peaks
 
     def test_every_parameter_receives_gradient(self):
         m = self._model(size=16, seed=5)
