@@ -160,7 +160,7 @@ def _decode(path: str | Path, data: bytes) -> CodecModel:
         dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
         count = math.prod(dims)
         arr = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
-        if not np.isfinite(arr).all():  # before the cast, which warns on a signalling NaN
+        if not np.isfinite(arr).all():  # before CodecModel's widening copy, which warns on a signalling NaN
             raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite weight")
-        params[name] = arr.astype(np.float64)
+        params[name] = arr
     return CodecModel(arch, variant=variant, power=power, params=params)

@@ -52,8 +52,16 @@ def _read_ppm(path: Path) -> np.ndarray:
     pos += 1  # single whitespace byte after maxval
     magic, width, height, maxval = fields
     if magic != b"P6":
-        raise DatasetError(f"{path}: expected binary PPM magic P6, got {magic!r}")
+        raise DatasetError(f"{path}: expected binary PPM magic P6, got {magic[:24]!r}")
+    # plain decimal digits only: int() would also take signs, underscores and
+    # surrounding space, and fails with its own ValueError past 4300 digits
+    for name, field in (("width", width), ("height", height), ("maxval", maxval)):
+        if not (field.isdigit() and len(field) <= 18):
+            raise DatasetError(f"{path}: PPM {name} must be a decimal number of at most 18 digits, "
+                               f"got {field[:24]!r}")
     w, h, mv = int(width), int(height), int(maxval)
+    if w == 0 or h == 0:
+        raise DatasetError(f"{path}: PPM image must be at least 1x1, got width {w}, height {h}")
     if mv != 255:
         raise DatasetError(f"{path}: only maxval 255 supported, got {mv}")
     raw = data[pos:pos + 3 * w * h]

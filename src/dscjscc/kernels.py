@@ -45,17 +45,18 @@ and read back off the band.  The band carries L*k entries per row for k*k
 taps, so taller tiles waste more of each GEMM and shorter ones make more
 calls; 2- and 4-row tiles measured alike and best, 1, 3, 6, 8 and 16 slower.
 
-The input adjoint works per output phase.  A stride-s transposed
-convolution splits into s*s stride-1 sums, one per output phase: the rows
-and columns that share an offset modulo s, each fed by the taps whose offset
-matches (sub-pixel convolution: Shi et al., arXiv:1609.05158 and
-arXiv:1609.07009).  Depthwise, each phase is a stride-1 banded convolution
-of ``gy`` with the phase's taps; dense, each phase is one contiguous block
-built from the in-range slices of its taps' stamps.  Either way the phase is
-written once into its strided slots of the output, so no padded grid is
-zeroed, cropped or updated through strided read-modify-write adds.  A dense
-stride-1 adjoint is instead, where it is cheaper, the convolution of ``gy``
-with the flipped kernel (see ``_conv_input_adjoint``).
+Every stride-1 input adjoint, of either kind, is the convolution of ``gy``
+with the flipped kernel (Dumoulin & Visin, arXiv:1603.07285).  A strided one
+works per output phase.  A stride-s transposed convolution splits into s*s
+stride-1 sums, one per output phase: the rows and columns that share an
+offset modulo s, each fed by the taps whose offset matches (sub-pixel
+convolution: Shi et al., arXiv:1609.05158 and arXiv:1609.07009).
+Depthwise, each phase is a stride-1 banded convolution of ``gy`` with the
+phase's taps; dense, each phase is one contiguous block built from the
+in-range slices of its taps' stamps.  Either way the phase is written once
+into its strided slots of the output, so no padded grid is zeroed, cropped
+or updated through strided read-modify-write adds (see
+``_conv_input_adjoint``).
 """
 
 from __future__ import annotations
@@ -241,83 +242,62 @@ def _phase_taps(size: int, gsize: int, k: int, stride: int,
     return phases
 
 
-def _stride1_phases(size: int, gsize: int, k: int, stride: int,
-                    padding: int) -> list[tuple[int, int, list[int], int]]:
-    """``_phase_taps`` read as stride-1 correlations: (r0, length, taps, first row).
-
-    Output ``r0 + stride*r`` of a phase is the sum over q of tap ``taps[q]``
-    times ``gy`` row ``first + r + q``: the phase's taps, last first, slide
-    over ``gy`` one row per output.
-    """
-    return [(r0, count, [i for i, _, _ in reversed(taps)],
-             taps[-1][2].start - taps[-1][1].start if taps else 0)
-            for r0, count, taps in _phase_taps(size, gsize, k, stride, padding)]
-
-
 def _conv_input_adjoint(gy: np.ndarray, w: np.ndarray, stride: int, padding: int,
                         size: tuple[int, int], depthwise: bool) -> np.ndarray:
     """Adjoint of ``_conv`` with respect to its (H, W) = ``size`` input.
 
-    Depthwise, output phase (y0, x0), rows ``y0::stride`` and columns
-    ``x0::stride``, is a stride-1 banded convolution, through ``_conv``, of
-    ``gy`` with the phase's sub-kernel: the taps that land on it, reversed on
-    both axes (``_stride1_phases``).  Its row-shift copy reads zeros outside
-    ``gy``, so ``gy`` is never padded.  Each phase is written once into its
-    strided slots of the output, and a phase no tap reaches is zero.  At
-    stride 1 the one phase is the output itself: the convolution of ``gy``,
-    padded by k - 1 - padding, with the flipped kernel.  One stride-1
-    convolution of a zero-inserted ``gy`` instead won only at batch 1 (dec4's
-    16-channel 16->32 layer: 0.18 against 0.35 ms) and lost at batch 16 and
-    32 (3.3 against 2.1 ms, 9.2 against 5.0 ms).
+    At stride 1, for both kinds, it is the convolution of ``gy``, padded by
+    k - 1 - padding, with the flipped kernel (read as (C, Cout, k, k) when
+    dense); when padding >= k, ``gy`` is cropped by padding - k + 1 instead,
+    since its outermost rows and columns reach no input.  A pointwise layer's
+    cols are ``gy`` itself, so its adjoint is the one GEMM W.T @ gy.
 
-    Dense, a stride-1 adjoint with padding < k is the convolution of ``gy``,
-    padded by k - 1 - padding, with the flipped kernel read as
-    (C, Cout, k, k), when its im2col block is smaller than the k*k*C stamps it
-    replaces, which for k = 5 means Cout < C; a pointwise layer's cols are
-    ``gy`` itself, so its adjoint is the one GEMM W.T @ gy.  Otherwise, gather
-    form: each phase is one zeroed (C, ny, nx, N) block to which every tap
-    landing on it adds the in-range slice of its stamp, taps in (i, j) order,
-    then written once into its strided slots of the output (at stride 1 the
-    one phase is the output itself).  The stamps come tap-major from one
-    GEMM, the (k*k*C, Cout) kernel times ``gy`` as (Cout, Ho*Wo*N), each a
-    contiguous (C, Ho, Wo, N) slab of the (k, k, C, Ho, Wo, N) result.
+    At a larger stride, each output phase (y0, x0), rows ``y0::stride`` and
+    columns ``x0::stride``, is built as one block and written once into its
+    strided slots of the output; a phase no tap reaches is zero.  Depthwise,
+    the block is a stride-1 banded convolution, through ``_conv``, of ``gy``
+    with the phase's sub-kernel: the taps that land on it, reversed on both
+    axes, sliding over ``gy`` one row per output from the row the last tap
+    reads first.  Its row-shift copy reads zeros outside ``gy``, so ``gy`` is
+    never padded.  One stride-1 convolution of a zero-inserted ``gy`` instead
+    won only at batch 1 (dec4's 16-channel 16->32 layer: 0.18 against
+    0.35 ms) and lost at batch 16 and 32 (3.3 against 2.1 ms, 9.2 against
+    5.0 ms).  Dense, the block is zeroed and every tap landing on the phase
+    adds the in-range slice of its stamp, taps in (i, j) order.  The stamps
+    come tap-major from one GEMM, the (k*k*C, Cout) kernel times ``gy`` as
+    (Cout, Ho*Wo*N), each a contiguous (C, Ho, Wo, N) slab of the
+    (k, k, C, Ho, Wo, N) result; a dense phase run as its own convolution
+    measured 1.6-4.1 times slower than the stamps.
     """
     cout, ho, wo, n = gy.shape
     k = w.shape[2]
     h, wd = size
+    if stride == 1:
+        flipped = w[:, :, ::-1, ::-1] if depthwise else w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        pad = k - 1 - padding
+        if pad < 0:
+            gy, pad = gy[:, -pad:ho + pad, -pad:wo + pad], 0
+        return _conv(_cols(gy, k, 1, pad, depthwise), flipped, 1, (h, wd, n), depthwise)
     c = w.shape[0] if depthwise else w.shape[1]
     dtype = np.result_type(gy, w)
-    if depthwise:
-        out = np.empty((c, h, wd, n), dtype=dtype)
-        xs = _stride1_phases(wd, wo, k, stride, padding)
-        for y0, ny, iy, ry in _stride1_phases(h, ho, k, stride, padding):
-            for x0, nx, ix, rx in xs:
-                slots = out[:, y0::stride, x0::stride]
-                if not (iy and ix):
-                    slots[...] = 0.0
-                    continue
-                block = _conv(_shifts(gy, len(ix), 1, ry, rx, ny + len(iy) - 1, nx),
-                              w[:, :, iy][:, :, :, ix], 1, (ny, nx, n), True)
-                if stride == 1:
-                    return block
-                slots[...] = block
-                del block  # before the next phase makes its copy
-        return out
-    if stride == 1 and padding < k and (k == 1 or cout < c):
-        return _conv(_cols(gy, k, 1, k - 1 - padding, False), w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                     1, (h, wd, n), False)
-    stamps = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.reshape(cout, -1)).reshape(k, k, c, ho, wo, n)
+    if not depthwise:
+        stamps = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.reshape(cout, -1)).reshape(k, k, c, ho, wo, n)
     out = np.empty((c, h, wd, n), dtype=dtype)
     cols = _phase_taps(wd, wo, k, stride, padding)
     for y0, ny, ytaps in _phase_taps(h, ho, k, stride, padding):
         for x0, nx, xtaps in cols:
-            block = out if stride == 1 else np.empty((c, ny, nx, n), dtype=dtype)
-            block.fill(0.0)
-            for i, by, gy_rows in ytaps:
-                for j, bx, gy_cols in xtaps:
-                    block[:, by, bx] += stamps[i, j][:, gy_rows, gy_cols]
-            if block is not out:
-                out[:, y0::stride, x0::stride] = block
+            if depthwise and ytaps and xtaps:
+                iy, ix = [i for i, _, _ in reversed(ytaps)], [j for j, _, _ in reversed(xtaps)]
+                block = _conv(_shifts(gy, len(ix), 1, (y0 + padding - iy[0]) // stride,
+                                      (x0 + padding - ix[0]) // stride, ny + len(iy) - 1, nx),
+                              w[:, :, iy][:, :, :, ix], 1, (ny, nx, n), True)
+            else:  # dense, or a depthwise phase no tap reaches, which stays zero
+                block = np.zeros((c, ny, nx, n), dtype=dtype)
+                for i, by, gy_rows in ytaps:
+                    for j, bx, gy_cols in xtaps:
+                        block[:, by, bx] += stamps[i, j][:, gy_rows, gy_cols]
+            out[:, y0::stride, x0::stride] = block
+            del block  # before the next phase makes its copy
     return out
 
 

@@ -339,7 +339,7 @@ class CodecModel:
                         if params[key].shape != arr.shape:
                             raise ShapeError(f"parameter {key} has shape {params[key].shape}, "
                                              f"expected {arr.shape}")
-                        arr = np.asarray(params[key], dtype=np.float64)
+                        arr = np.array(params[key], dtype=np.float64)  # a copy: training must not edit the caller's
                     self.params[key] = trained[name] = Tensor(arr, requires_grad=True)
                     fixed[name] = Tensor(trained[name].data)
                 self._layers[side].append((trained, fixed))
@@ -359,9 +359,6 @@ class CodecModel:
     @property
     def rho(self) -> Fraction:
         return self.architecture.rho
-
-    def num_parameters(self) -> int:
-        return sum(t.data.size for t in self.params.values())
 
     # -- graph-building pieces (used by training) ------------------------
     def encode_graph(self, x_raw: Tensor, *, constant: bool = False) -> Tensor:

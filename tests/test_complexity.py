@@ -120,7 +120,7 @@ class TestEnumerationOracle:
             arch = build_variant_architecture(variant, (32, 32, 3), 8)
             model = CodecModel(arch, variant=variant, seed=0)
             analytical = architecture_complexity(variant, arch).total_params
-            assert oracle_param_count(model) == analytical == model.num_parameters()
+            assert oracle_param_count(model) == analytical == sum(p.data.size for p in model.params.values())
 
     def test_param_count_independent_of_input_size(self):
         small = model_complexity(VariantId.R60_E2D2, (32, 32, 3), 8).total_params

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dscjscc.data import (Dataset, DatasetError, center_crop, load_dataset,
                           synthetic_dataset)
@@ -115,3 +117,38 @@ class TestDatasetType:
 
     def test_len(self):
         assert len(synthetic_dataset(7, 8)) == 7
+
+
+@pytest.fixture(scope="module")
+def ppm_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# a header is four fields and their separators, each of which may be mangled: fields
+# from digits (small sizes often, so that the payload can be long enough), signs,
+# underscores and arbitrary bytes; separators from whitespace and comments
+_NUMBER = st.integers(0, 4).map(lambda v: b"%d" % v) | st.text("0123456789", min_size=1, max_size=24).map(str.encode)
+_FIELD = st.lists(_NUMBER | st.sampled_from([b"-", b"+", b"_"]) | st.binary(min_size=1, max_size=3),
+                  min_size=1, max_size=2).map(b"".join)
+_SEPARATOR = st.lists(st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\x0b"])
+                      | st.binary(max_size=6).map(lambda s: b"#" + s + b"\n"), min_size=1, max_size=2).map(b"".join)
+_PPM_HEADER = st.tuples(st.just(b"P6") | _FIELD, _SEPARATOR, _NUMBER | _FIELD, _SEPARATOR,
+                        _NUMBER | _FIELD, _SEPARATOR, st.just(b"255") | _FIELD, _SEPARATOR).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=_PPM_HEADER, payload=st.binary(max_size=80))
+@example(header=b"P6\n2 1\n255\n", payload=bytes(6))
+@example(header=b"P6 -1 -1 255\n", payload=bytes(6))
+@example(header=b"P6 abc 4 255\n", payload=bytes(48))
+@example(header=b"P6 0 4 255\n", payload=b"")
+@example(header=b"P6 " + b"9" * 5000 + b" 1 255\n", payload=bytes(6))
+def test_fuzzed_ppm_loads_or_raises_dataset_error(ppm_dir, header, payload):
+    path = ppm_dir / "a.ppm"
+    path.write_bytes(header + payload)
+    try:
+        ds = load_dataset(ppm_dir)
+    except DatasetError as e:
+        assert str(path) in str(e)
+    else:
+        assert ds.images.shape[:2] == (1, 3) and min(ds.images.shape) >= 1

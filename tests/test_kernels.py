@@ -407,14 +407,17 @@ def test_depthwise_kernels_match_block_diagonal_dense(n, shift, h, k, s, p):
 @given(st.integers(1, 2), st.integers(2, 4), st.sampled_from([-1, 0, 1]), st.integers(1, 5),
        st.integers(1, 5), st.integers(1, 4), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
-@example(n=2, c=4, more=-1, h=4, k=3, s=1, p=1)  # the flipped-kernel route
-@example(n=2, c=3, more=-1, h=3, k=2, s=1, p=3)  # padding >= k: the route steps aside
+@example(n=2, c=4, more=-1, h=4, k=3, s=1, p=1)  # stride 1, fewer gy channels: the flipped-kernel route
+@example(n=2, c=3, more=0, h=4, k=3, s=1, p=1)  # stride 1, as many gy channels
+@example(n=1, c=2, more=1, h=5, k=5, s=1, p=2)  # stride 1, more gy channels
+@example(n=2, c=3, more=-1, h=3, k=2, s=1, p=3)  # padding >= k: the route crops gy
+@example(n=2, c=2, more=1, h=5, k=2, s=1, p=2)  # padding >= k, and the transposed forward keeps an output
 @example(n=1, c=2, more=1, h=1, k=1, s=4, p=0)  # three of four phases get no tap
 @example(n=2, c=2, more=0, h=2, k=5, s=3, p=2)
 def test_input_adjoint_matches_oracle_at_every_stride(n, c, more, h, k, s, p):
     # strides up to 4, inputs smaller than the stride (output phases with no
-    # taps, or no outputs at all), padding >= k (the flipped-kernel route must
-    # step aside) and gy with fewer, as many or more channels than the output
+    # taps, or no outputs at all), padding >= k (the stride-1 flipped-kernel
+    # route crops gy) and gy with fewer, as many or more channels than the output
     cg = c + more
     r = _example_rng(n, c, more, h, k, s, p)
     x = r.standard_normal((n, cg, h, h))

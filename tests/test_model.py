@@ -390,3 +390,14 @@ class TestCodec:
         bad["enc0.weight"] = np.zeros((1, 1, 1, 1))
         with pytest.raises(ShapeError, match="enc0.weight"):
             CodecModel(m.architecture, params=bad)
+
+    def test_model_built_from_arrays_owns_copies(self):
+        # training a model built from another model's arrays must leave that model as it was
+        a = self._model(size=16, c=4, seed=6)
+        before = {k: t.data.copy() for k, t in a.params.items()}
+        b = CodecModel(a.architecture, params={k: t.data for k, t in a.params.items()})
+        train_step(b, rng.uniform(0, 255, size=(2, 3, 16, 16)),
+                   AwgnChannel(ChannelConfig(snr_db=10.0, seed=1)), Adam(b.params))
+        assert not np.array_equal(b.params["enc0.weight"].data, before["enc0.weight"])
+        for k, t in a.params.items():
+            assert np.array_equal(t.data, before[k]), k
