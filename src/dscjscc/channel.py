@@ -41,8 +41,8 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.power <= 0.0:
-            raise ValueError(f"transmit power must be positive, got {self.power}")
+        if not 0.0 < self.power < math.inf:  # NaN fails too
+            raise ValueError(f"transmit power must be finite and positive, got {self.power}")
         if self.sigma2 is None and self.snr_db is None:
             raise ValueError("channel config needs sigma2 or snr_db")
         if self.sigma2 is None:
@@ -54,8 +54,8 @@ class ChannelConfig:
             if not math.isclose(derived, self.sigma2, rel_tol=1e-9):
                 raise ValueError(f"sigma2={self.sigma2} and snr_db={self.snr_db} disagree "
                                  f"(snr implies sigma2={derived})")
-        if self.sigma2 < 0.0:
-            raise ValueError(f"noise power must be non-negative, got {self.sigma2}")
+        if not 0.0 <= self.sigma2 < math.inf:  # NaN fails too; snr_db=inf gives sigma2=0
+            raise ValueError(f"noise power must be finite and non-negative, got {self.sigma2}")
 
 
 def _standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -3,9 +3,10 @@
 Config files are strict JSON, checked against one schema (``_SCHEMA``) of
 each key's kind and default: unknown keys are rejected at every level,
 ``dataset`` and ``dataset.synthetic`` included, and command-line flags
-override file values.  Exactly one of rho / c is given; the other is derived
-from the bandwidth bookkeeping and echoed.  ``rho`` is a number or a
-``"p/q"`` string and must give a whole c; ``snr_list`` is non-empty.
+override file values.  ``variant``, ``input_size`` and exactly one of rho / c
+resolve to one ArchitectureSpec, and ``eval`` checks its checkpoint against it.
+``rho`` is a number or a ``"p/q"`` string and must give a whole c;
+``snr_list`` is non-empty.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .complexity import format_table, model_complexity, reduction_report, to_csv
 from .data import Dataset, load_dataset, synthetic_dataset
 from .metrics import evaluate_sweep, sweep_to_csv
-from .model import (VARIANT_ORDER, CodecModel, VariantId, build_variant_architecture,
-                    default_base_architecture)
+from .model import (VARIANT_ORDER, ArchitectureSpec, CodecModel, VariantId,
+                    build_variant_architecture, default_base_architecture)
 from .training import TrainConfig, TrainingError, history_to_csv, train
 
 
@@ -122,7 +123,7 @@ class ExperimentConfig(SimpleNamespace):
     """A checked config, with each key of ``_SCHEMA`` as an attribute.
 
     ``variant`` is a VariantId, and ``input_size``, ``rho`` and ``c`` are
-    resolved into ``input_shape``, ``rho``, ``c`` and ``k``.
+    resolved into one ``architecture``, which fixes n, k, c and rho.
     """
 
 
@@ -136,30 +137,23 @@ def parse_input_size(text: str) -> tuple[int, int, int]:
     return (w, h, c)
 
 
-def parse_rho(value) -> Fraction:
-    return _parse("rho", _RHO, value)
-
-
-def derive_bandwidth(input_shape: tuple[int, int, int], rho=None, c=None) -> tuple[int, int, Fraction]:
-    """Resolve (k, c, rho) from whichever of rho / c was given; a given rho must give a whole c."""
-    # the layers fix the latent size whatever c is; c = 2 always gives an even symbol count
-    base = default_base_architecture(input_shape, 2)
-    n, (hbar, wbar) = base.n, base.latent_dims
+def derive_bandwidth(variant: VariantId, input_shape: tuple[int, int, int],
+                     rho=None, c=None) -> ArchitectureSpec:
+    """The variant's layers at ``input_shape`` with c latent channels; a given rho must give a whole c."""
     if rho is None and c is None:
         raise ConfigError("exactly one of rho / c must be given")
     if rho is not None:
-        rho = parse_rho(rho)
-        derived = (2 * int(rho * n)) // (hbar * wbar)  # floor for non-negative rho*n
+        rho = _parse("rho", _RHO, rho)
+        probe = default_base_architecture(input_shape, 2)  # k is c/2 times the latent area
+        derived = 2 * int(rho * probe.n) // probe.k  # floor for non-negative rho*n
         if c is not None and derived != c:
             raise ConfigError(f"rho={rho} implies c={derived}, but c={c} was given")
+        if derived * probe.rho / 2 != rho:
+            hbar, wbar = probe.latent_dims
+            raise ConfigError(f"rho={rho} gives no whole c at latent {hbar}x{wbar}: "
+                              f"the derived c={derived} gives rho={derived * probe.rho / 2}")
         c = derived
-    k = Fraction(c * hbar * wbar, 2)
-    if rho is not None and k / n != rho:
-        raise ConfigError(f"rho={rho} gives no whole c at latent {hbar}x{wbar}: "
-                          f"the derived c={c} gives rho={k / n}")
-    if k.denominator != 1:
-        raise ConfigError(f"c={c} at latent {hbar}x{wbar} gives an odd symbol count")
-    return int(k), c, k / n
+    return build_variant_architecture(variant, input_shape, c)
 
 
 def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
@@ -177,33 +171,30 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
     if dataset is not None and (dataset["path"] is None) == (dataset["synthetic"] is None):
         raise ConfigError("dataset needs exactly one of 'path' / 'synthetic'")
     input_shape = parse_input_size(cfg.pop("input_size"))
-    k, c, rho = derive_bandwidth(input_shape, cfg.pop("rho"), cfg.pop("c"))
+    if input_shape[0] != input_shape[1]:  # images are center-cropped to a square
+        raise ConfigError(f"input_size must be square, got {'x'.join(map(str, input_shape))}")
     variant = VariantId.from_name(cfg.pop("variant"))
-    return ExperimentConfig(**cfg, variant=variant, input_shape=input_shape, rho=rho, c=c, k=k)
+    architecture = derive_bandwidth(variant, input_shape, cfg.pop("rho"), cfg.pop("c"))
+    return ExperimentConfig(**cfg, variant=variant, architecture=architecture)
 
 
-def _echo_bandwidth(cfg: ExperimentConfig) -> str:
-    return (f"bandwidth: n={cfg.input_shape[0] * cfg.input_shape[1] * cfg.input_shape[2]} "
-            f"k={cfg.k} c={cfg.c} rho={cfg.rho.numerator}/{cfg.rho.denominator}")
+def _describe(run: CodecModel | ExperimentConfig) -> str:
+    """The variant, input size, c and power of a model or a config."""
+    arch = run.architecture
+    name = "unnamed layers" if run.variant is None else run.variant.value
+    return f"{name} at {'x'.join(map(str, arch.input_shape))}, c={arch.channel_count}, power={run.power!r}"
 
 
 def _load_configured_dataset(cfg: ExperimentConfig) -> Dataset:
     """The dataset of the config's section, which ``parse_config`` has already checked."""
     if cfg.dataset is None:
         raise ConfigError("config has no dataset section")
+    size = cfg.architecture.input_shape[0]
     if cfg.dataset["path"] is not None:
-        return load_dataset(cfg.dataset["path"], crop=cfg.input_shape[0])
+        return load_dataset(cfg.dataset["path"], crop=size)
     syn = cfg.dataset["synthetic"]
     seed = cfg.seed + 2 if syn["seed"] is None else syn["seed"]
-    return synthetic_dataset(syn["count"], cfg.input_shape[0], seed=seed)
-
-
-def _build_model(cfg: ExperimentConfig) -> CodecModel:
-    arch = build_variant_architecture(cfg.variant, cfg.input_shape, cfg.c)
-    try:
-        return CodecModel(arch, variant=cfg.variant, power=cfg.power, seed=cfg.seed)
-    except OverflowError as e:  # a c whose weight scale does not fit a float
-        raise ConfigError(f"c is too large to build the model ({e})") from e
+    return synthetic_dataset(syn["count"], size, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +234,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    print(_echo_bandwidth(cfg))
+    arch = cfg.architecture
+    print(f"bandwidth: n={arch.n} k={arch.k} c={arch.channel_count} "
+          f"rho={arch.rho.numerator}/{arch.rho.denominator}")
     data = _load_configured_dataset(cfg)
-    model = _build_model(cfg)
+    try:
+        model = CodecModel(arch, variant=cfg.variant, power=cfg.power, seed=cfg.seed)
+    except OverflowError as e:  # a c whose weight scale does not fit a float
+        raise ConfigError(f"c is too large to build the model ({e})") from e
     train_cfg = TrainConfig(learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
                             epochs=cfg.epochs, snr_db=cfg.train_snr_db,
                             seed=cfg.seed, max_steps=cfg.max_steps)
@@ -274,6 +270,8 @@ def cmd_eval(args) -> int:
     cfg = parse_config(args.config, {"seed": args.seed, "out_dir": args.out, "snr_list": snr_list})
     ckpt = args.checkpoint or cfg.checkpoint or str(Path(cfg.out_dir) / "checkpoint.dscj")
     model = load_checkpoint(ckpt)
+    if (model.architecture, model.power) != (cfg.architecture, cfg.power):
+        raise ConfigError(f"checkpoint {ckpt} holds {_describe(model)}, but the config gives {_describe(cfg)}")
     data = _load_configured_dataset(cfg)
     rows = evaluate_sweep(model, data, list(cfg.snr_list),
                           draws_per_image=cfg.draws_per_image, seed=cfg.seed)
@@ -317,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {"variants": cmd_variants, "analyze": cmd_analyze,
                 "train": cmd_train, "eval": cmd_eval}
     try:

@@ -7,6 +7,7 @@ else should be converted upstream.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,27 +31,20 @@ class Dataset:
         return int(self.images.shape[0])
 
 
+# magic, width, height and maxval, each after whitespace and "#" comments that run
+# to a newline, and each ending at whitespace; read from the first 64 KiB only
+_PPM_HEADER = re.compile(rb"\s*(?:#[^\n]*\n\s*)*([^\s#]\S*)(?!\S)" * 4)
+_PPM_HEADER_BYTES = 1 << 16
+
+
 def _read_ppm(path: Path) -> np.ndarray:
     """Parse a binary PPM (P6, maxval 255) into (3, H, W) float64."""
     data = path.read_bytes()
-    # header: magic, width, height, maxval separated by whitespace/comments
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DatasetError(f"{path}: truncated PPM header")
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    magic, width, height, maxval = fields
+    header = _PPM_HEADER.match(data, 0, _PPM_HEADER_BYTES)
+    # a maxval that runs into the bound may go on past it
+    if header is None or header.end() == _PPM_HEADER_BYTES < len(data):
+        raise DatasetError(f"{path}: truncated PPM header")
+    magic, width, height, maxval = header.groups()
     if magic != b"P6":
         raise DatasetError(f"{path}: expected binary PPM magic P6, got {magic[:24]!r}")
     # plain decimal digits only: int() would also take signs, underscores and
@@ -64,6 +58,7 @@ def _read_ppm(path: Path) -> np.ndarray:
         raise DatasetError(f"{path}: PPM image must be at least 1x1, got width {w}, height {h}")
     if mv != 255:
         raise DatasetError(f"{path}: only maxval 255 supported, got {mv}")
+    pos = header.end() + 1  # single whitespace byte after maxval
     raw = data[pos:pos + 3 * w * h]
     if len(raw) != 3 * w * h:
         raise DatasetError(f"{path}: pixel payload has {len(raw)} bytes, expected {3 * w * h}")

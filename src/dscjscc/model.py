@@ -319,6 +319,12 @@ class CodecModel:
                  params: dict[str, np.ndarray] | None = None):
         if not (math.isfinite(power) and power > 0):
             raise ValueError(f"power must be finite and > 0, got {power}")
+        if variant is not None:
+            masks = tuple("".join("D" if layer.kind.is_separable else "C" for layer in side)
+                          for side in (architecture.encoder, architecture.decoder))
+            if masks != VARIANT_PATTERNS[variant]:
+                raise ShapeError(f"'variant' {variant.value} calls for {'/'.join(VARIANT_PATTERNS[variant])}"
+                                 f" layers, but the layers give {'/'.join(masks)}")
         self.architecture = architecture
         self.variant = variant
         self.power = float(power)

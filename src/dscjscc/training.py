@@ -95,6 +95,9 @@ def train_step(model: CodecModel, batch: np.ndarray, channel: AwgnChannel,
 def train(model: CodecModel, data: Dataset, cfg: TrainConfig,
           channel_cfg: ChannelConfig) -> TrainResult:
     """Seeded mini-batch training; shuffle and channel noise use separate streams."""
+    if channel_cfg.power != model.power:  # the noise is scaled to the channel's power
+        raise ValueError(f"channel power {channel_cfg.power} != model power {model.power}: "
+                         f"the training SNR would not be the one stated")
     w, h, c = model.architecture.input_shape
     if data.images.shape[1:] != (c, h, w):
         raise ShapeError(f"dataset images {data.images.shape[1:]} do not match "

@@ -48,6 +48,17 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match="disagree"):
             ChannelConfig(sigma2=0.5, snr_db=10.0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"power": math.nan, "snr_db": 10.0}, "transmit power"),
+        ({"power": math.inf, "snr_db": 10.0}, "transmit power"),
+        ({"snr_db": math.nan}, "noise power"),
+        ({"sigma2": math.nan}, "noise power"),
+        ({"snr_db": -math.inf}, "noise power"),
+    ], ids=["power-nan", "power-inf", "snr-nan", "sigma2-nan", "snr-minus-inf"])
+    def test_non_finite_value_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ChannelConfig(**kwargs)
+
     def test_missing_both_rejected(self):
         with pytest.raises(ValueError, match="sigma2 or snr_db"):
             ChannelConfig()

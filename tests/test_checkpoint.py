@@ -142,7 +142,8 @@ class TestTampering:
         ("latent_dims", lambda h: h["architecture"].update(latent_dims=[4, 8])),
         ("c", lambda h: h.update(c=6)),
         ("rho", lambda h: h.update(rho="1/12")),
-    ], ids=["channel_count", "latent_dims", "c", "rho"])
+        ("variant", lambda h: h.update(variant="dsc-jscc-100")),
+    ], ids=["channel_count", "latent_dims", "c", "rho", "variant"])
     def test_stated_value_that_disagrees_with_layers_rejected(self, small_model, tmp_path, key, edit):
         p = tmp_path / "m.dscj"
         save_checkpoint(small_model, p)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from dscjscc import cli
 from dscjscc.cli import (ConfigError, ExperimentConfig, derive_bandwidth, main, parse_config,
-                         parse_input_size, parse_rho)
+                         parse_input_size)
+from dscjscc.model import VariantId, build_variant_architecture
 from dscjscc.training import TrainingError
 from test_checkpoint import rewrite_header
 
@@ -97,34 +98,42 @@ class TestConfigParsing:
 
     def test_rho_fraction_and_decimal(self):
         from fractions import Fraction
-        assert parse_rho("1/12") == Fraction(1, 12)
-        assert parse_rho(0.25) == Fraction(1, 4)
+        assert derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho="1/12").rho == Fraction(1, 12)
+        assert derive_bandwidth(VariantId.BASELINE, (32, 32, 3), rho=0.25).rho == Fraction(1, 4)
 
     def test_bandwidth_from_rho(self):
-        k, c, rho = derive_bandwidth((256, 256, 3), rho="1/12")
-        assert (k, c) == (16384, 8)
+        arch = derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho="1/12")
+        assert (arch.k, arch.channel_count) == (16384, 8)
 
     def test_bandwidth_from_c(self):
         from fractions import Fraction
-        k, c, rho = derive_bandwidth((32, 32, 3), c=8)
-        assert (k, c, rho) == (256, 8, Fraction(1, 12))
+        arch = derive_bandwidth(VariantId.BASELINE, (32, 32, 3), c=8)
+        assert (arch.k, arch.channel_count, arch.rho) == (256, 8, Fraction(1, 12))
 
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ConfigError, match="implies c="):
-            derive_bandwidth((256, 256, 3), rho="1/12", c=4)
+            derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho="1/12", c=4)
 
     def test_consistent_pair_accepted(self):
-        k, c, _ = derive_bandwidth((256, 256, 3), rho="1/12", c=8)
-        assert (k, c) == (16384, 8)
+        arch = derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho="1/12", c=8)
+        assert (arch.k, arch.channel_count) == (16384, 8)
 
     def test_rho_without_whole_c_rejected(self):
         # 1/10 of 768 values is 76.8 symbols; the derived c=9 sends 72, which is rho=3/32.
         with pytest.raises(ConfigError, match="rho=1/10 .*rho=3/32"):
-            derive_bandwidth((16, 16, 3), rho="1/10")
+            derive_bandwidth(VariantId.BASELINE, (16, 16, 3), rho="1/10")
 
     def test_neither_given_rejected(self):
         with pytest.raises(ConfigError, match="exactly one"):
-            derive_bandwidth((32, 32, 3))
+            derive_bandwidth(VariantId.BASELINE, (32, 32, 3))
+
+    def test_config_resolves_to_one_architecture(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"variant": "dsc-jscc-100", "input_size": "16x16x3", "rho": "1/24"}))
+        parsed = parse_config(cfg)
+        assert parsed.variant is VariantId.R100
+        assert parsed.architecture == build_variant_architecture(VariantId.R100, (16, 16, 3), 4)
+        assert not {"input_shape", "c", "k", "rho"} & set(vars(parsed))
 
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -289,6 +298,7 @@ class TestTrainEvalCommands:
                      id="dataset-path-and-synthetic"),
         pytest.param("snr_list", [], "snr_list", id="snr_list-empty"),
         pytest.param("c", 10 ** 400, "c is too large", id="c-huge-int"),
+        pytest.param("input_size", "16x8x3", "square", id="input_size-not-square"),
     ])
     def test_malformed_config_value_nonzero_exit(self, capsys, tmp_path, key, value, message):
         cfg = {**VALID_CONFIG, "out_dir": str(tmp_path / "run")}
@@ -301,6 +311,28 @@ class TestTrainEvalCommands:
         assert code == 1
         assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("variant", "baseline"),
+        ("input_size", "32x32x3"),
+        ("c", 8),
+        ("rho", "1/12"),
+        ("power", 2.0),
+    ])
+    def test_eval_of_checkpoint_that_disagrees_with_config_nonzero_exit(self, capsys, desk_config,
+                                                                        key, value):
+        cfg, out_dir = desk_config
+        assert run_cli(capsys, "train", "--config", str(cfg))[0] == 0
+        other = json.loads(cfg.read_text())
+        if key == "rho":
+            del other["c"]  # exactly one of rho / c
+        other[key] = value
+        cfg.write_text(json.dumps(other))
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith(f"error: checkpoint {out_dir / 'checkpoint.dscj'} holds dsc-jscc-100 at ")
+        assert "but the config gives" in err and err.count("\n") == 1
+        assert not (out_dir / "sweep.csv").exists()
 
     def test_nan_snr_flag_nonzero_exit(self, capsys, desk_config):
         cfg, out_dir = desk_config
@@ -363,7 +395,8 @@ def test_fuzzed_config_value_parses_or_raises_value_error(tmp_path, where, value
     except ValueError:
         return
     assert isinstance(parsed, ExperimentConfig)
-    ints = [parsed.c, parsed.k, parsed.batch_size, parsed.epochs, parsed.seed, parsed.draws_per_image]
+    ints = [parsed.architecture.channel_count, parsed.architecture.k, parsed.batch_size,
+            parsed.epochs, parsed.seed, parsed.draws_per_image]
     if parsed.max_steps is not None:
         ints.append(parsed.max_steps)
     if parsed.dataset is not None and parsed.dataset["synthetic"] is not None:

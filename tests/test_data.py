@@ -1,5 +1,7 @@
 """PPM parsing, center cropping, dataset assembly, synthetic generator."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -61,6 +63,21 @@ class TestPpmLoading:
     def test_truncated_payload_rejected(self, tmp_path):
         (tmp_path / "a.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(5))
         with pytest.raises(DatasetError, match="payload"):
+            load_dataset(tmp_path)
+
+    def test_header_without_whitespace_fails_fast(self, tmp_path):
+        # a header scan byte by byte took over a second on these 4 MB
+        (tmp_path / "a.ppm").write_bytes(b"P" * (4 << 20))
+        start = time.perf_counter()
+        with pytest.raises(DatasetError, match="truncated PPM header"):
+            load_dataset(tmp_path)
+        assert time.perf_counter() - start < 0.25
+
+    def test_maxval_running_past_header_window_rejected(self, tmp_path):
+        # the 64 KiB header window ends inside "2550": read as 255, it would misplace the pixels
+        header = b"P6 1 1 " + b" " * ((1 << 16) - 10) + b"2550\n"
+        (tmp_path / "a.ppm").write_bytes(header + bytes(3))
+        with pytest.raises(DatasetError, match="truncated PPM header"):
             load_dataset(tmp_path)
 
     def test_mixed_sizes_rejected_without_crop(self, tmp_path):

@@ -95,6 +95,12 @@ class TestTrainLoop:
         with pytest.raises(ShapeError, match="dataset"):
             train(model, wrong, cfg, channel)
 
+    def test_channel_power_that_differs_from_model_rejected(self):
+        # the noise is drawn for the channel's power, so the model would train at another SNR
+        model, data, cfg, _ = _desk_setup(steps=1)
+        with pytest.raises(ValueError, match="channel power 2.0 != model power 1.0"):
+            train(model, data, cfg, ChannelConfig(power=2.0, snr_db=10.0))
+
     def test_loss_decreases_on_short_run(self):
         model, data, cfg, channel = _desk_setup(steps=60)
         result = train(model, data, cfg, channel)
