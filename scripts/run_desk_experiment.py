@@ -1,64 +1,45 @@
 #!/usr/bin/env python3
-"""Desk-scale end-to-end experiment: train one variant on synthetic 32x32
-images over a noisy channel, then sweep PSNR against SNR.
-
-Writes loss_history.csv and sweep.csv into --out and prints a short summary.
-A full run (200 steps) takes about a minute on a laptop CPU.
-"""
+"""Desk-scale experiment: write train.json and eval.json for one variant into --out, then run
+them through `dscjscc train` and `dscjscc eval` (PSNR against SNR on held-out synthetic images)."""
 
 import argparse
+import json
+import sys
 import time
 from pathlib import Path
 
-from dscjscc.channel import ChannelConfig
-from dscjscc.checkpoint import save_checkpoint
-from dscjscc.data import synthetic_dataset
-from dscjscc.metrics import evaluate_sweep, sweep_to_csv
-from dscjscc.model import CodecModel, VariantId, build_variant_architecture
-from dscjscc.training import TrainConfig, history_to_csv, smoothed_endpoints, train
+from dscjscc import cli
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--variant", default="dsc-jscc-60-e2d2")
-    ap.add_argument("--size", type=int, default=32)
-    ap.add_argument("--c", type=int, default=8)
-    ap.add_argument("--images", type=int, default=64)
-    ap.add_argument("--steps", type=int, default=200)
+    for flag, default in (("--size", 32), ("--c", 8), ("--images", 64), ("--steps", 200), ("--seed", 0)):
+        ap.add_argument(flag, type=int, default=default)
     ap.add_argument("--train-snr", type=float, default=10.0)
     ap.add_argument("--snr-list", default="0,5,10,15,19")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=Path("desk_run"))
     args = ap.parse_args()
-
-    variant = VariantId.from_name(args.variant)
-    arch = build_variant_architecture(variant, (args.size, args.size, 3), args.c)
-    model = CodecModel(arch, variant=variant, seed=args.seed)
-    data = synthetic_dataset(args.images, args.size, seed=args.seed + 2)
-    print(f"{variant.value}: input {args.size}x{args.size}x3, k={model.k}, rho={model.rho}")
-
     # epochs is an upper bound; max_steps does the real stopping
-    cfg = TrainConfig(snr_db=args.train_snr, seed=args.seed,
-                      max_steps=args.steps, epochs=args.steps)
-    channel = ChannelConfig(snr_db=args.train_snr, seed=args.seed + 1)
+    run = {"variant": args.variant, "input_size": f"{args.size}x{args.size}x3", "c": args.c,
+           "train_snr_db": args.train_snr, "epochs": args.steps, "max_steps": args.steps,
+           "dataset": {"synthetic": {"count": args.images, "seed": args.seed + 2}},
+           "seed": args.seed, "out_dir": str(args.out)}
+    held_out = {"synthetic": {"count": 16, "seed": args.seed + 3}}
+    configs = {"train": run, "eval": {**run, "dataset": held_out, "draws_per_image": 3}}
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        for name, config in configs.items():
+            (args.out / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
+    except OSError as e:
+        sys.exit(f"error: {e}")
     t0 = time.time()
-    result = train(model, data, cfg, channel)
-    first, last = smoothed_endpoints(result.history)
-    print(f"trained {len(result.history)} steps in {time.time() - t0:.0f}s; "
-          f"smoothed loss {first:.5f} -> {last:.5f}")
-
-    test = synthetic_dataset(16, args.size, seed=args.seed + 3, split="test")
-    snrs = [float(s) for s in args.snr_list.split(",")]
-    rows = evaluate_sweep(model, test, snrs, draws_per_image=3, seed=args.seed)
-    for r in rows:
-        print(f"  snr {r.snr_db:5.1f} dB -> psnr {r.mean_psnr_db:6.2f} +/- {r.std_psnr_db:.2f} dB")
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "loss_history.csv").write_text(history_to_csv(result.history))
-    (args.out / "sweep.csv").write_text(sweep_to_csv(rows))
-    save_checkpoint(model, args.out / "checkpoint.dscj")
-    print(f"wrote {args.out}/loss_history.csv, sweep.csv, checkpoint.dscj")
+    code = cli.main(["train", "--config", str(args.out / "train.json")]) or \
+        cli.main(["eval", "--config", str(args.out / "eval.json"), "--snr-list", args.snr_list])
+    if code == 0:
+        print(f"trained and swept {args.variant} in {time.time() - t0:.0f}s")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

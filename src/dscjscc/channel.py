@@ -31,8 +31,8 @@ def snr_from_sigma(sigma2: float, power: float = 1.0) -> float:
 class ChannelConfig:
     """Transmit power, noise power, and their dB bookkeeping.
 
-    Exactly one of sigma2 / snr_db may be given; the other is derived.
-    sigma2 == 0 is the explicit noiseless mode.
+    Give sigma2, snr_db, or both if they agree; a missing one is derived.
+    sigma2 == 0 (snr_db == inf) is the explicit noiseless mode.
     """
 
     power: float = 1.0
@@ -67,13 +67,6 @@ def _standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:count]
 
 
-def complex_normals(rng: np.random.Generator, shape: tuple[int, ...], variance: float) -> np.ndarray:
-    """Circularly symmetric complex Gaussians with the given per-symbol variance."""
-    count = int(np.prod(shape))
-    reals = _standard_normals(rng, 2 * count) * math.sqrt(variance / 2.0)
-    return (reals[:count] + 1j * reals[count:]).reshape(shape)
-
-
 class AwgnChannel:
     """AWGN channel owning its own PRNG stream; one instance per worker."""
 
@@ -85,10 +78,12 @@ class AwgnChannel:
         z = np.asarray(z)
         if self.config.sigma2 == 0.0:
             return z.copy()
-        return z + complex_normals(self._rng, z.shape, self.config.sigma2)
+        re, im = self.noise_block((2, *z.shape))  # circularly symmetric: sigma2/2 per component
+        return z + (re + 1j * im)
 
     def noise_block(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Interleaved real/imag noise for a real-valued (N, 2k) symbol block."""
+        """Real noise of variance sigma2/2 per entry: an interleaved (N, 2k) symbol block's,
+        or the stacked real and imaginary parts ``transmit`` adds."""
         if self.config.sigma2 == 0.0:
             return np.zeros(shape)
         count = int(np.prod(shape))

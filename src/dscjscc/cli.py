@@ -212,20 +212,17 @@ def cmd_variants(_args) -> int:
 
 def cmd_analyze(args) -> int:
     input_shape = parse_input_size(args.input)
-    if args.all:
-        reports = [model_complexity(v, input_shape, args.c) for v in VARIANT_ORDER]
-    else:
-        variant = VariantId.from_name(args.variant or "baseline")
-        reports = [model_complexity(variant, input_shape, args.c)]
+    variant = VariantId.from_name(args.variant or "baseline")
+    variants = VARIANT_ORDER if args.all else [variant]
+    reports = [model_complexity(v, input_shape, args.c) for v in variants]
     print(format_table(reports), end="")
     if not args.all:
         r = reports[0]
         print(f"total: {r.params_display} K / {r.flops_display} M")
     if args.compare:
-        base = VariantId.from_name(args.variant or "baseline")
         other = VariantId.from_name(args.compare)
-        dp, df = reduction_report(base, other, input_shape, args.c)
-        print(f"{base.value} -> {other.value}: params -{dp:.1f}%, flops -{df:.1f}%")
+        dp, df = reduction_report(variant, other, input_shape, args.c)
+        print(f"{variant.value} -> {other.value}: params -{dp:.1f}%, flops -{df:.1f}%")
     if args.out:
         Path(args.out).write_text(to_csv(reports))
         print(f"wrote {args.out}")

@@ -90,13 +90,17 @@ class ArchitectureSpec:
     def __post_init__(self) -> None:
         if len(self.encoder) != 5 or len(self.decoder) != 5:
             raise ShapeError(f"architecture must have 5+5 layers, got {len(self.encoder)}+{len(self.decoder)}")
-        for side, layers, transposed in (("encoder", self.encoder, False), ("decoder", self.decoder, True)):
-            for layer in layers:
+        w, h, c = self.input_shape
+        channels = c  # each layer takes the channels the one before it gives, and dec4 gives back C
+        for side, layers, transposed in (("enc", self.encoder, False), ("dec", self.decoder, True)):
+            for i, layer in enumerate(layers):
                 if layer.kind.is_transposed != transposed:
-                    raise ShapeError(f"{side} layer kind {layer.kind.value} invalid")
-        if self.decoder[0].in_channels != self.channel_count:
-            raise ShapeError("decoder input channels != encoder output channels")
-        w, h, _ = self.input_shape
+                    raise ShapeError(f"{side}{i} layer kind {layer.kind.value} invalid")
+                if layer.in_channels != channels:
+                    raise ShapeError(f"{side}{i} takes {layer.in_channels} channels, but gets {channels}")
+                channels = layer.out_channels
+        if channels != c:
+            raise ShapeError(f"dec4 gives {channels} channels, but the input has {c}")
         if self.out_dims[-1] != (h, w):
             hh, ww = self.out_dims[-1]
             raise ShapeError(f"decoder maps latent back to {hh}x{ww}, expected {h}x{w}")

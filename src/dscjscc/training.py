@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,9 @@ def train(model: CodecModel, data: Dataset, cfg: TrainConfig,
     if channel_cfg.power != model.power:  # the noise is scaled to the channel's power
         raise ValueError(f"channel power {channel_cfg.power} != model power {model.power}: "
                          f"the training SNR would not be the one stated")
+    if not math.isclose(cfg.snr_db, channel_cfg.snr_db, rel_tol=1e-9):  # inf equals inf
+        raise ValueError(f"train config snr_db {cfg.snr_db} != channel snr_db {channel_cfg.snr_db}: "
+                         f"the noise would not be drawn at the stated SNR")
     w, h, c = model.architecture.input_shape
     if data.images.shape[1:] != (c, h, w):
         raise ShapeError(f"dataset images {data.images.shape[1:]} do not match "

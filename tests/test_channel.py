@@ -7,7 +7,7 @@ import pytest
 
 from dscjscc import autodiff as ad
 from dscjscc.autodiff import Tensor
-from dscjscc.channel import AwgnChannel, ChannelConfig, awgn, complex_normals, sigma_from_snr
+from dscjscc.channel import AwgnChannel, ChannelConfig, awgn, sigma_from_snr
 
 rng = np.random.default_rng(2024)
 
@@ -130,5 +130,5 @@ class TestGradientTransparency:
         np.testing.assert_array_equal(x.grad, g)
 
     def test_complex_normals_shape_and_dtype(self):
-        out = complex_normals(np.random.default_rng(0), (5, 7), 2.0)
+        out = AwgnChannel(ChannelConfig(sigma2=2.0)).transmit(np.zeros((5, 7)))
         assert out.shape == (5, 7) and out.dtype == np.complex128

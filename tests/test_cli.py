@@ -79,8 +79,9 @@ class TestAnalyzeCommand:
         assert lines[0] == "variant,params,flops,params_display,flops_display"
         assert len(lines) == 12
 
-    def test_unknown_variant_fails(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", "--variant", "dsc-jscc-999")
+    @pytest.mark.parametrize("extra", [(), ("--all",)], ids=["alone", "all"])
+    def test_unknown_variant_fails(self, capsys, extra):
+        code, _, err = run_cli(capsys, "analyze", "--variant", "dsc-jscc-999", *extra)
         assert code == 1
         assert "unknown variant" in err
 

@@ -1,6 +1,7 @@
 """Architecture construction, variant patterns, pixel/symbol plumbing, codec contracts."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,18 @@ class TestBaseArchitecture:
         # latent 1x1 with odd c cannot pair into complex symbols
         with pytest.raises(ShapeError, match="odd symbol count"):
             default_base_architecture((4, 4, 3), 3)
+
+    @pytest.mark.parametrize("side, index, field, value, message", [
+        ("decoder", 4, "out_channels", 5, "dec4 gives 5 channels, but the input has 3"),
+        ("encoder", 0, "in_channels", 4, "enc0 takes 4 channels, but gets 3"),
+        ("decoder", 2, "in_channels", 16, "dec2 takes 16 channels, but gets 32"),
+    ])
+    def test_channels_that_do_not_chain_rejected(self, side, index, field, value, message):
+        arch = default_base_architecture((16, 16, 3), 8)
+        layers = list(getattr(arch, side))
+        layers[index] = replace(layers[index], **{field: value})
+        with pytest.raises(ShapeError, match=message):
+            replace(arch, **{side: tuple(layers)})
 
 
 class TestVariantBuilder:

@@ -1,5 +1,7 @@
 """Adam behaviour, training-loop determinism and convergence plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,8 @@ def _desk_setup(steps, seed=0, lr=0.001, sigma_noiseless=False):
     arch = build_variant_architecture(VariantId.R100, (16, 16, 3), 4)
     model = CodecModel(arch, variant=VariantId.R100, seed=seed)
     data = synthetic_dataset(16, 16, seed=seed + 10)
-    cfg = TrainConfig(learning_rate=lr, batch_size=8, epochs=100, snr_db=10.0,
-                      seed=seed, max_steps=steps)
+    cfg = TrainConfig(learning_rate=lr, batch_size=8, epochs=100,
+                      snr_db=math.inf if sigma_noiseless else 10.0, seed=seed, max_steps=steps)
     channel = ChannelConfig(sigma2=0.0, seed=seed + 1) if sigma_noiseless else \
         ChannelConfig(snr_db=10.0, seed=seed + 1)
     return model, data, cfg, channel
@@ -100,6 +102,13 @@ class TestTrainLoop:
         model, data, cfg, _ = _desk_setup(steps=1)
         with pytest.raises(ValueError, match="channel power 2.0 != model power 1.0"):
             train(model, data, cfg, ChannelConfig(power=2.0, snr_db=10.0))
+
+    @pytest.mark.parametrize("stated, drawn", [(10.0, 0.0), (math.inf, 10.0), (10.0, math.inf)])
+    def test_train_snr_that_differs_from_channel_rejected(self, stated, drawn):
+        # the noise is drawn at the channel's SNR, so a different stated one would be silently unused
+        model, data, _, _ = _desk_setup(steps=1)
+        with pytest.raises(ValueError, match=f"train config snr_db {stated} != channel snr_db {drawn}"):
+            train(model, data, TrainConfig(snr_db=stated), ChannelConfig(snr_db=drawn))
 
     def test_loss_decreases_on_short_run(self):
         model, data, cfg, channel = _desk_setup(steps=60)
