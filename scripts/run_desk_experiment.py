@@ -31,7 +31,10 @@ def main() -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         for name, config in configs.items():
             (args.out / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
-    except OSError as e:
+        # eval's config, --snr-list included, is checked before a training run is spent on it
+        snr_list = [cli.flag_number(s) for s in args.snr_list.split(",")]
+        cli.parse_config(args.out / "eval.json", {"snr_list": snr_list})
+    except (OSError, ValueError) as e:
         sys.exit(f"error: {e}")
     t0 = time.time()
     code = cli.main(["train", "--config", str(args.out / "train.json")]) or \

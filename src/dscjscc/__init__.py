@@ -1,7 +1,7 @@
 """Selective depthwise-separable JSCC experimentation toolkit."""
 
 from .autodiff import AutodiffError, Tensor
-from .channel import AwgnChannel, ChannelConfig, awgn, sigma_from_snr
+from .channel import AwgnChannel, ChannelConfig, sigma_from_snr
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .complexity import (ComplexityReport, layer_flops, layer_params, model_complexity,
                          reduction_report)
@@ -20,7 +20,7 @@ __all__ = [
     "ChannelConfig", "CheckpointError", "CodecModel", "ComplexityReport",
     "Dataset", "DatasetError", "LayerKind", "LayerSpec",
     "ShapeError", "Tensor", "TrainConfig", "TrainResult", "TrainingError", "VariantId",
-    "awgn", "build_variant", "build_variant_architecture", "center_crop",
+    "build_variant", "build_variant_architecture", "center_crop",
     "default_base_architecture", "denormalize_pixels", "evaluate_sweep",
     "layer_flops", "layer_params", "load_checkpoint",
     "load_dataset", "model_complexity", "mse_pixel_mean",

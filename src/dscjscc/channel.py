@@ -89,8 +89,3 @@ class AwgnChannel:
         count = int(np.prod(shape))
         return (_standard_normals(self._rng, count)
                 * math.sqrt(self.config.sigma2 / 2.0)).reshape(shape)
-
-
-def awgn(z: np.ndarray, config: ChannelConfig) -> np.ndarray:
-    """One noisy transmission; the draw is a pure function of (z.shape, config)."""
-    return AwgnChannel(config).transmit(z)

@@ -254,7 +254,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _flag_number(text: str) -> float | str:
+def flag_number(text: str) -> float | str:
     """One item of a comma-separated flag as a float; other text stays text, for the schema to reject."""
     try:
         return float(text)
@@ -263,7 +263,7 @@ def _flag_number(text: str) -> float | str:
 
 
 def cmd_eval(args) -> int:
-    snr_list = None if args.snr_list is None else [_flag_number(s) for s in args.snr_list.split(",")]
+    snr_list = None if args.snr_list is None else [flag_number(s) for s in args.snr_list.split(",")]
     cfg = parse_config(args.config, {"seed": args.seed, "out_dir": args.out, "snr_list": snr_list})
     ckpt = args.checkpoint or cfg.checkpoint or str(Path(cfg.out_dir) / "checkpoint.dscj")
     model = load_checkpoint(ckpt)

@@ -24,26 +24,27 @@ convolution (Dumoulin & Visin, arXiv:1603.07285), so its backward pass is the
 convolution itself, and its weight gradient is the convolution's with input
 and upstream swapped.
 
-In this layout every dense kernel is one GEMM on a channel-major matrix.  A
-dense conv is W(Cout, C*k*k) @ cols(C*k*k, Ho*Wo*N), and the product is
-already the (C, H, W, N) output; a pointwise conv's cols are the input
-itself, reshaped without a copy (MobileNets, arXiv:1704.04861, runs its 1x1
-layers the same way).  The weight gradient is gy(Cout, Ho*Wo*N) @ cols.T, and
-the input adjoint's stamps are W.T @ gy.
+Both kinds lower their input with one patch copy, MEC's (Cho & Brand,
+arXiv:1706.06873): ``_shifts`` copies the input once per tap column, a k-fold
+copy where im2col makes a k*k-fold one, so that the k input rows an output
+row reads are consecutive rows of the copy, each Wo*N long.  Dense, the copy
+is row-major, (rows, C, k, Wo*N), so those rows form one (k*C*k, Wo*N)
+window with a single row stride, and the conv is one batched GEMM over
+output rows: the (Cout, k*C*k) kernel times each row's window, written
+straight into the (C, H, W, N) output.  The weight gradient is each row's
+``gy`` times its window transposed, summed over rows.  A pointwise conv's
+patches are the input itself, reshaped without a copy, and it is one GEMM
+(MobileNets, arXiv:1704.04861, runs its 1x1 layers the same way).
 
-Every depthwise kernel runs as batched BLAS GEMMs too.  MEC (Cho & Brand,
-arXiv:1706.06873) lowers a convolution along one spatial axis only:
-``_shifts`` copies the input once per tap column, a k-fold copy where im2col
-makes a k*k-fold one, so that the k input rows an output row reads are k*k
-consecutive rows of the copy, each Wo*N long.  Along the other axis a
-channel's kernel becomes a banded (Toeplitz) matrix: a tile of th output
-rows reads an overlapping window of L = stride*(th - 1) + k input rows, and
-its (th, L*k) band holds the k*k taps on th shifted diagonals.  Every channel
-and tile of a layer goes through one batched ``matmul``; the weight gradient
-is each tile's ``gy`` rows times its window transposed, summed over tiles
-and read back off the band.  The band carries L*k entries per row for k*k
-taps, so taller tiles waste more of each GEMM and shorter ones make more
-calls; 2- and 4-row tiles measured alike and best, 1, 3, 6, 8 and 16 slower.
+Depthwise, the copy is channel-major, (C, rows, k, Wo*N), and along the
+other axis a channel's kernel becomes a banded (Toeplitz) matrix: a tile of
+th output rows reads an overlapping window of L = stride*(th - 1) + k input
+rows, and its (th, L*k) band holds the k*k taps on th shifted diagonals.
+Every channel and tile of a layer goes through one batched ``matmul``, and
+the weight gradient, summed over tiles, is read back off the band.  The band
+carries L*k entries per row for k*k taps, so taller tiles waste more of each
+GEMM and shorter ones make more calls; 2- and 4-row tiles measured alike and
+best, 1, 3, 6, 8 and 16 slower.
 
 Every stride-1 input adjoint, of either kind, is the convolution of ``gy``
 with the flipped kernel (Dumoulin & Visin, arXiv:1603.07285).  A strided one
@@ -123,17 +124,15 @@ def _validate(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, strid
 _TILE_ROWS = 4  # output rows per banded depthwise GEMM
 
 
-def _shifts(x: np.ndarray, k: int, stride: int, top: int, left: int, rows: int, wo: int) -> np.ndarray:
-    """The depthwise row-shift copy X[c, r, j, wo*N + n] = x[c, top + r, left + stride*wo + j, n].
+def _shifts(x: np.ndarray, k: int, stride: int, top: int, left: int, rows: int, wo: int,
+            row_major: bool = False) -> np.ndarray:
+    """The row-shift copy X[c, r, j, wo*N + n] = x[c, top + r, left + stride*wo + j, n], zero outside ``x``.
 
-    A contiguous (C, rows, k, Wo*N) array, zero where the read falls outside
-    ``x``; its rows are (input row, tap column) pairs, so an output row of a
-    k-row kernel reads k consecutive input rows of it as one (k*k, Wo*N)
-    block.  This is MEC's lowering (Cho & Brand, arXiv:1706.06873): a k-fold
-    copy of the input where im2col makes a k*k-fold one.
+    A contiguous (C, rows, k, Wo*N) array, or (rows, C, k, Wo*N) if ``row_major``.
     """
     c, h, wd, n = x.shape
-    cols = np.zeros((c, rows, k, wo, n), dtype=x.dtype)
+    buf = np.zeros((rows, c, k, wo, n) if row_major else (c, rows, k, wo, n), dtype=x.dtype)
+    cols = buf.swapaxes(0, 1) if row_major else buf
     r0, r1 = max(0, -top), min(rows, h - top)
     for j in range(k):
         # output column o reads input column left + stride*o + j, in range for o in [a, b)
@@ -141,29 +140,20 @@ def _shifts(x: np.ndarray, k: int, stride: int, top: int, left: int, rows: int, 
         if r0 < r1 and a < b:
             x0 = left + stride * a + j
             cols[:, r0:r1, j, a:b] = x[:, top + r0:top + r1, x0:x0 + stride * (b - a - 1) + 1:stride]
-    return cols.reshape(c, rows, k, wo * n)
+    return buf.reshape(*buf.shape[:3], wo * n)
 
 
 def _cols(x: np.ndarray, k: int, stride: int, padding: int, depthwise: bool) -> np.ndarray:
     """Patches of the (C, H, W, N) input, zero-padded by ``padding`` on each side.
 
-    Depthwise: the (C, H + 2*padding, k, Wo*N) row-shift copy of ``_shifts``.
-    Dense: the (C*k*k, Ho*Wo*N) im2col matrix, which for an unpadded stride-1
-    1x1 kernel is ``x`` itself, reshaped.
+    The ``_shifts`` copy of the stride*(Ho - 1) + k padded rows the output
+    reads, row-major when dense; an unpadded stride-1 1x1 dense kernel's
+    patches are ``x`` itself, reshaped to (C, H*W*N).
     """
-    if depthwise:
-        return _shifts(x, k, stride, -padding, -padding, x.shape[1] + 2 * padding,
-                       conv_out_dim(x.shape[2], k, stride, padding))
-    if k == 1 and stride == 1 and not padding:
+    if not depthwise and k == 1 and stride == 1 and not padding:
         return x.reshape(x.shape[0], -1)
-    if padding:
-        c, h, wd, n = x.shape
-        xp = np.zeros((c, h + 2 * padding, wd + 2 * padding, n), dtype=x.dtype)
-        xp[:, padding:padding + h, padding:padding + wd] = x
-        x = xp
-    pt = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    c, ho, wo, n = pt.shape[:4]
-    return np.ascontiguousarray(pt.transpose(0, 4, 5, 1, 2, 3)).reshape(c * k * k, ho * wo * n)
+    ho, wo = (conv_out_dim(d, k, stride, padding) for d in x.shape[1:3])
+    return _shifts(x, k, stride, -padding, -padding, stride * (ho - 1) + k, wo, not depthwise)
 
 
 def _tiles(rows: int) -> list[tuple[int, int, int]]:
@@ -196,26 +186,36 @@ def _band(a: np.ndarray, ky: int, kx: int, stride: int) -> np.ndarray:
                                            (sc, sh + stride * kx * se, kx * se, se))
 
 
+def _row_windows(cols: np.ndarray, ky: int, stride: int, ho: int) -> np.ndarray:
+    """The (Ho, ky*C*kx, Wo*N) windows of a row-major ``cols``, one per output row, read-only."""
+    rows, c, kx, m = cols.shape
+    return _windows(cols.reshape(1, rows, c * kx, m), ky, stride, 0, 1, ho)[0]
+
+
 def _conv(cols: np.ndarray, w: np.ndarray, stride: int, shape: tuple[int, int, int],
           depthwise: bool) -> np.ndarray:
     """Convolve the patches ``cols`` with a (Cout, Cin, ky, kx) kernel; ``shape`` is the output (Ho, Wo, N).
 
-    Depthwise, each tile of output rows is one channel's banded (th, L*kx)
-    tap matrix times its row window of ``cols``, all channels and tiles in
-    one batched GEMM, and ``stride`` is the step between the input rows that
-    consecutive output rows start at; a dense ``cols`` already holds it.
+    ``stride`` is the step between the input rows that consecutive output
+    rows start at.  Dense, it is one GEMM per output row, all in one batched
+    ``matmul``; depthwise, one per channel and tile of output rows, its
+    banded (th, L*kx) tap matrix times its row window.
     """
+    cout, _, ky, kx = w.shape
+    if cols.ndim == 2:  # pointwise: the patches are the input itself
+        return (w.reshape(cout, -1) @ cols).reshape(cout, *shape)
+    m = cols.shape[3]
+    y = np.empty((cout, shape[0], m), dtype=np.result_type(cols, w))
     if not depthwise:
-        return (w.reshape(w.shape[0], -1) @ cols).reshape(-1, *shape)
-    c, _, kx, m = cols.shape
-    ky = w.shape[2]
-    y = np.empty((c, shape[0], m), dtype=np.result_type(cols, w))
+        np.matmul(w.transpose(0, 2, 1, 3).reshape(cout, -1), _row_windows(cols, ky, stride, shape[0]),
+                  out=y.transpose(1, 0, 2))
+        return y.reshape(cout, *shape)
     for row0, th, count in _tiles(shape[0]):
-        band = np.zeros((c, th, (stride * (th - 1) + ky) * kx), dtype=w.dtype)
+        band = np.zeros((cout, th, (stride * (th - 1) + ky) * kx), dtype=w.dtype)
         _band(band, ky, kx, stride)[...] = w
         np.matmul(band[:, None], _windows(cols, ky, stride, row0, th, count),
-                  out=y[:, row0:row0 + th * count].reshape(c, count, th, m))
-    return y.reshape(c, *shape)
+                  out=y[:, row0:row0 + th * count].reshape(cout, count, th, m))
+    return y.reshape(cout, *shape)
 
 
 def _phase_taps(size: int, gsize: int, k: int, stride: int,
@@ -305,20 +305,23 @@ def _conv_weight_grad(cols: np.ndarray, gy: np.ndarray, stride: int, w_shape: tu
                       depthwise: bool) -> np.ndarray:
     """Gradient of ``_conv`` with respect to its kernel, given the patches it read.
 
-    Depthwise, each tile's ``gy`` rows times its row window transposed give
-    the gradient of that tile's banded matrix; the tiles are summed and the
-    taps read back off the band.
+    Each output row's (dense) or tile's (depthwise) ``gy`` times its window
+    transposed, summed over rows or tiles; a depthwise sum is the band's
+    gradient, and the taps are read back off it.
     """
-    if not depthwise:
-        return (gy.reshape(gy.shape[0], -1) @ cols.T).reshape(w_shape)
-    c, ho = gy.shape[:2]
-    _, _, kx, m = cols.shape
+    cout, ho = gy.shape[:2]
     ky = w_shape[2]
-    gy = gy.reshape(c, ho, m)
-    gw = np.zeros((c, ky, kx), dtype=np.result_type(cols, gy))
+    if cols.ndim == 2:  # pointwise
+        return (gy.reshape(cout, -1) @ cols.T).reshape(w_shape)
+    kx, m = cols.shape[2:]
+    gy = gy.reshape(cout, ho, m)
+    if not depthwise:
+        gw = (gy.transpose(1, 0, 2) @ _row_windows(cols, ky, stride, ho).transpose(0, 2, 1)).sum(axis=0)
+        return gw.reshape(cout, ky, -1, kx).transpose(0, 2, 1, 3).copy()  # C order: Adam is slower on a view
+    gw = np.zeros((cout, ky, kx), dtype=np.result_type(cols, gy))
     for row0, th, count in _tiles(ho):
         win = _windows(cols, ky, stride, row0, th, count)
-        band = (gy[:, row0:row0 + th * count].reshape(c, count, th, m) @ win.transpose(0, 1, 3, 2)).sum(axis=1)
+        band = (gy[:, row0:row0 + th * count].reshape(cout, count, th, m) @ win.transpose(0, 1, 3, 2)).sum(axis=1)
         gw += _band(band, ky, kx, stride).sum(axis=1)
     return gw[:, None]
 
@@ -367,7 +370,11 @@ def _tbackward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, paddin
 
 def conv2d_forward_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                           stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pass returning (output, column matrix) so backward can reuse it."""
+    """Forward pass returning (output, patches) so backward can reuse them.
+
+    The patches are the (rows, C, k, Wo*N) row-shift copy of ``_cols``, or the
+    input itself, reshaped, for an unpadded stride-1 1x1 kernel.
+    """
     return _forward("conv2d", x, w, b, stride, padding, None, False)
 
 
@@ -440,9 +447,12 @@ def prelu_backward(x: np.ndarray, slopes: np.ndarray, gy: np.ndarray) -> tuple[n
 
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
     # one branch-free pass: x >= 0 gives 1 / (1 + e^-x) and x < 0 gives e^x / (1 + e^x);
-    # min(x, -x) is -|x|, so exp never overflows, and it keeps a NaN's sign bit
+    # min(x, -x) is -|x|, so exp never overflows, and it keeps a NaN's sign bit; as e <= 1,
+    # max(e, x >= 0) is the numerator, where a select took 0.69 against 0.47 ms at 3x32x32x16
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    y = np.maximum(e, x >= 0)
+    y /= 1.0 + e
+    return y
 
 
 def sigmoid_backward(y: np.ndarray, gy: np.ndarray) -> np.ndarray:

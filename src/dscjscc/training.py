@@ -134,10 +134,3 @@ def history_to_csv(history: list[StepRecord]) -> str:
     for r in history:
         lines.append(f"{r.step},{r.epoch},{r.loss!r},{r.loss_sample_sum!r}")
     return "\n".join(lines) + "\n"
-
-
-def smoothed_endpoints(history: list[StepRecord], window: int = 20) -> tuple[float, float]:
-    """Mean loss over the first and last `window` steps."""
-    losses = [r.loss for r in history]
-    w = min(window, len(losses))
-    return float(np.mean(losses[:w])), float(np.mean(losses[-w:]))

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used only by tests.
 
 These stay deliberately naive (nested Python loops, no shared code with the
-package's vectorized kernels) so they can serve as oracles.  The
+package's vectorized kernels) so they can serve as oracles.  Beside them sit
+the small helpers only tests call (one-shot AWGN, smoothed loss endpoints).  The
 finite-difference checker at the end compares each differentiable primitive's
 analytic gradient against central differences of its own forward pass.
 """
@@ -14,6 +15,7 @@ import numpy as np
 from dscjscc.autodiff import (Tensor, _node, conv2d, depthwise_conv2d, depthwise_tconv2d,
                               mse_mean, pointwise_conv2d, power_normalize, prelu, scale, sigmoid,
                               tconv2d, transpose)
+from dscjscc.channel import AwgnChannel
 from dscjscc.kernels import ShapeError, tconv_out_dim
 
 
@@ -116,6 +118,18 @@ def naive_mse_sum_per_sample(x, xhat):
             s += d * d
         total += s
     return total / n
+
+
+def awgn(z, config):
+    """One noisy transmission; the draw is a pure function of (z.shape, config)."""
+    return AwgnChannel(config).transmit(z)
+
+
+def smoothed_endpoints(history, window=20):
+    """Mean loss over the first and last `window` steps."""
+    losses = [r.loss for r in history]
+    w = min(window, len(losses))
+    return float(np.mean(losses[:w])), float(np.mean(losses[-w:]))
 
 
 def numeric_param_grad(loss_fn, arr, indices, step=1e-4):

@@ -14,7 +14,7 @@ import pytest
 
 from dscjscc import autodiff as ad
 from dscjscc.autodiff import Tensor
-from dscjscc.channel import ChannelConfig, awgn
+from dscjscc.channel import ChannelConfig
 from dscjscc.cli import main
 from dscjscc.complexity import (architecture_complexity, layer_params,
                                 model_complexity, reduction_report)
@@ -22,8 +22,9 @@ from dscjscc.data import synthetic_dataset
 from dscjscc.metrics import evaluate_sweep
 from dscjscc.model import (VARIANT_ORDER, Activation, CodecModel, LayerKind, LayerSpec,
                            VariantId, build_variant_architecture, init_layer_params)
-from dscjscc.training import TrainConfig, smoothed_endpoints, train
-from oracles import DIFFERENTIABLE_OPS, finite_diff_check, oracle_param_count
+from dscjscc.training import TrainConfig, train
+from oracles import (DIFFERENTIABLE_OPS, awgn, finite_diff_check, oracle_param_count,
+                     smoothed_endpoints)
 
 GOLDEN = Path(__file__).parent / "golden"
 

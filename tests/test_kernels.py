@@ -232,7 +232,10 @@ class TestActivations:
 
     def test_sigmoid_equals_two_branch_formula_bitwise(self):
         x = rng.standard_normal((16, 3, 32, 32)) * 20
-        x.flat[:8] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1000.0, -1000.0]
+        x.flat[:16] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1000.0, -1000.0,
+                       5e-324, -5e-324, 1e308, -1e308, 709.8, -709.8, 745.0, -745.5]
+        # |x| > 700: e^-|x| runs through the subnormals down to 0 around 745
+        x.flat[16:2016] = rng.choice([-1.0, 1.0], 2000) * rng.uniform(700.0, 760.0, 2000)
         pos = x >= 0
         expected = np.empty_like(x)
         expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -444,30 +447,85 @@ def test_input_adjoint_matches_oracle_at_every_stride(n, c, more, h, k, s, p):
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("c, h, k, s, p", [(3, 9, 5, 2, 2), (4, 8, 5, 1, 2), (2, 7, 3, 3, 1), (3, 6, 2, 4, 0)])
-def test_depthwise_kernels_are_row_independent(c, h, k, s, p):
-    # the depthwise core runs the batch inside its GEMMs; each batch row of
-    # the forward and input gradient of both kinds must come out as if run alone
-    n = 5
+_ROW_CASES = [(3, 9, 5, 2, 2), (4, 8, 5, 1, 2), (2, 7, 3, 3, 1), (3, 6, 2, 4, 0)]
+
+
+def _check_rows_independent(depthwise, c, h, k, s, p):
+    # both cores run the batch inside their GEMMs; each batch row of the
+    # forward and input gradient of both kinds must come out as if run alone
+    n, cout = 5, c if depthwise else c + 1
     r = _example_rng(c, h, k, s, p)
     x = r.standard_normal((c, h, h, n))
-    w = r.standard_normal((c, 1, k, k))
-    b = r.standard_normal(c)
+    if depthwise:
+        conv, tconv = kernels.depthwise_conv2d_forward, kernels.depthwise_tconv2d_forward
+        conv_back, tconv_back = kernels.depthwise_conv2d_backward, kernels.depthwise_tconv2d_backward
+        w = wt = r.standard_normal((c, 1, k, k))
+    else:
+        conv, tconv = (lambda *a: kernels.conv2d_forward_cached(*a)[0]), kernels.tconv2d_forward
+        conv_back, tconv_back = kernels.conv2d_backward, kernels.tconv2d_backward
+        w, wt = r.standard_normal((cout, c, k, k)), r.standard_normal((c, cout, k, k))
+    b = r.standard_normal(cout)
     ho, opad = conv_out_dim(h, k, s, p), s - 1
     hup = tconv_out_dim(h, k, s, p, opad)
-    gy = r.standard_normal((c, ho, ho, n))
-    gyt = r.standard_normal((c, hup, hup, n))
+    gy = r.standard_normal((cout, ho, ho, n))
+    gyt = r.standard_normal((cout, hup, hup, n))
     calls = [
-        lambda x, gy, gyt: kernels.depthwise_conv2d_forward(x, w, b, s, p),
-        lambda x, gy, gyt: kernels.depthwise_tconv2d_forward(x, w, b, s, p, opad),
-        lambda x, gy, gyt: kernels.depthwise_conv2d_backward(x, w, gy, s, p)[0],
-        lambda x, gy, gyt: kernels.depthwise_tconv2d_backward(x, w, gyt, s, p, opad)[0],
+        lambda x, gy, gyt: conv(x, w, b, s, p),
+        lambda x, gy, gyt: tconv(x, wt, b, s, p, opad),
+        lambda x, gy, gyt: conv_back(x, w, gy, s, p)[0],
+        lambda x, gy, gyt: tconv_back(x, wt, gyt, s, p, opad)[0],
     ]
     for call in calls:
         whole = call(x, gy, gyt)
         for i in range(n):
             row = call(x[..., i:i + 1], gy[..., i:i + 1], gyt[..., i:i + 1])
             np.testing.assert_allclose(whole[..., i:i + 1], row, atol=1e-12)
+
+
+@pytest.mark.parametrize("c, h, k, s, p", _ROW_CASES)
+def test_depthwise_kernels_are_row_independent(c, h, k, s, p):
+    _check_rows_independent(True, c, h, k, s, p)
+
+
+@pytest.mark.parametrize("c, h, k, s, p", _ROW_CASES)
+def test_dense_kernels_are_row_independent(c, h, k, s, p):
+    _check_rows_independent(False, c, h, k, s, p)
+
+
+@pytest.mark.parametrize("k, s, p", [(5, 2, 2), (5, 1, 2), (3, 3, 1), (2, 1, 0), (1, 2, 0)])
+def test_dense_patches_are_a_k_fold_copy(k, s, p):
+    # MEC's row-shift copy holds each input row the output reads once per tap
+    # column, across all channels: no k*k factor, as im2col's patches have
+    c, h, n = 3, 16, 4
+    x = rng.standard_normal((c, h, h, n))
+    y, cols = kernels.conv2d_forward_cached(x, rng.standard_normal((8, c, k, k)), None, s, p)
+    ho, wo = y.shape[1:3]
+    assert cols.size == (s * (ho - 1) + k) * c * k * wo * n
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("k, p", [(1, 1), (2, 3), (3, 3)])
+def test_dense_weight_gradients_match_oracle_at_batch_one(k, s, p):
+    # batch 1 makes Wo*N and the per-row GEMMs their smallest, and padding >= k
+    # puts whole rows and columns of the row-shift copy outside the input;
+    # the oracle is <gy, naive layer of a one-hot kernel> for every kernel entry
+    r = _example_rng(k, s, p)
+    x = r.standard_normal((1, 2, 5, 5))
+    w, wt = r.standard_normal((3, 2, k, k)), r.standard_normal((2, 3, k, k))
+    ho = conv_out_dim(5, k, s, p)
+    gy = r.standard_normal((1, 3, ho, ho))
+    expected = [np.sum(gy * naive_conv2d(x, u, None, s, p)) for u in np.eye(w.size).reshape(-1, *w.shape)]
+    gw = conv2d_backward(x, w, gy, s, p)[1]
+    np.testing.assert_allclose(gw, np.reshape(expected, w.shape), atol=1e-12)
+    assert gw.flags.c_contiguous  # as every gradient is, for the optimizer's elementwise updates
+    d = tconv_out_dim(5, k, s, p, s - 1)
+    if d < 1:
+        return
+    gy = r.standard_normal((1, 3, d, d))
+    units = np.eye(wt.size).reshape(-1, *wt.shape)
+    expected = [np.sum(gy * naive_tconv2d(x, u, None, s, p, s - 1)) for u in units]
+    np.testing.assert_allclose(tconv2d_backward(x, wt, gy, s, p, s - 1)[1], np.reshape(expected, wt.shape),
+                               atol=1e-12)
 
 
 @pytest.mark.parametrize("depthwise", [False, True])

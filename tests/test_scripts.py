@@ -62,3 +62,5 @@ def test_desk_script_rejects_malformed_flag_in_one_line(tmp_path, flag):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], result.stderr
     assert "Traceback" not in result.stderr
+    # every flag is checked before training, so no run is spent on a typo
+    assert not (tmp_path / "desk" / "checkpoint.dscj").exists()
