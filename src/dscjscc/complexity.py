@@ -45,7 +45,6 @@ def layer_flops(spec: LayerSpec, out_h: int, out_w: int) -> int:
 class LayerRow:
     side: str  # "encoder" | "decoder"
     index: int  # 1-based within its side
-    kind: str
     params: int
     flops: int
 
@@ -79,8 +78,7 @@ def architecture_complexity(variant: VariantId, arch: ArchitectureSpec) -> Compl
     out_dims = iter(arch.out_dims)
     for side, layers in (("encoder", arch.encoder), ("decoder", arch.decoder)):
         for i, spec in enumerate(layers):
-            rows.append(LayerRow(side, i + 1, spec.kind.value,
-                                 layer_params(spec), layer_flops(spec, *next(out_dims))))
+            rows.append(LayerRow(side, i + 1, layer_params(spec), layer_flops(spec, *next(out_dims))))
     return ComplexityReport(variant, tuple(rows))
 
 

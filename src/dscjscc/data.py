@@ -76,7 +76,7 @@ def center_crop(image: np.ndarray, size: int) -> np.ndarray:
     return image[:, top:top + size, left:left + size]
 
 
-def load_dataset(path: str | Path, crop: int | None = None, split: str = "train") -> Dataset:
+def load_dataset(path: str | Path, crop: int | None = None) -> Dataset:
     """Load every .ppm under a directory, ordered lexicographically by filename."""
     root = Path(path)
     if not root.is_dir():
@@ -99,7 +99,7 @@ def load_dataset(path: str | Path, crop: int | None = None, split: str = "train"
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
         raise DatasetError(f"images disagree on shape: {sorted(shapes)}; pass a crop size")
-    return Dataset(np.stack(images), split=split)
+    return Dataset(np.stack(images))
 
 
 def synthetic_dataset(count: int, size: int, seed: int = 0, split: str = "train") -> Dataset:

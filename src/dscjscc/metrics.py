@@ -24,12 +24,14 @@ def mse_pixel_mean(x: np.ndarray, xhat: np.ndarray) -> float:
     return float(np.mean((x - xhat) ** 2))
 
 
-def psnr(x: np.ndarray, xhat: np.ndarray, peak: float = 255.0, cap: float = PSNR_CAP_DB) -> float:
-    """10*log10(peak^2 / per-pixel MSE); identical inputs hit the cap."""
+def psnr(x: np.ndarray, xhat: np.ndarray) -> float:
+    """10*log10(255^2 / per-pixel MSE); identical inputs hit ``PSNR_CAP_DB``."""
     mse = mse_pixel_mean(x, xhat)
     if mse == 0.0:
-        return cap
-    return min(cap, 10.0 * math.log10(peak * peak / mse))
+        return PSNR_CAP_DB
+    if not math.isfinite(mse):  # min() would keep the cap for a NaN
+        raise ValueError(f"psnr: non-finite MSE {mse}")
+    return min(PSNR_CAP_DB, 10.0 * math.log10(255.0 * 255.0 / mse))
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,8 @@ def evaluate_sweep(model: CodecModel, data: Dataset, snr_list: list[float],
     """
     if not snr_list:
         raise ValueError("evaluate_sweep: snr_list must not be empty")
+    if draws_per_image < 1:
+        raise ValueError(f"evaluate_sweep: draws_per_image must be >= 1, got {draws_per_image}")
     images = [data.images[ii:ii + 1] for ii in range(len(data))]
     codes = [model.encode(image) for image in images]
     rows = []

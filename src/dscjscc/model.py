@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kernels import ShapeError, conv_out_dim, tconv_out_dim
+from .kernels import ShapeError, check_geometry, conv_out_dim, tconv_out_dim
 
 
 class LayerKind(Enum):
@@ -57,16 +57,11 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.in_channels < 1 or self.out_channels < 1 or self.kernel < 1:
             raise ShapeError(f"layer spec requires positive channel/kernel sizes, got {self}")
-        if self.stride < 1 or self.padding < 0:
-            raise ShapeError(f"{self.kind.value} layer needs stride >= 1 and padding >= 0, "
-                             f"got stride={self.stride}, padding={self.padding}")
         if self.kind.is_transposed and self.output_padding is None:
             raise ShapeError(f"{self.kind.value} layer requires output_padding")
         if not self.kind.is_transposed and self.output_padding is not None:
             raise ShapeError(f"{self.kind.value} layer must not carry output_padding")
-        if self.kind.is_transposed and not 0 <= self.output_padding < self.stride:
-            raise ShapeError(f"{self.kind.value} layer needs 0 <= output_padding < stride, "
-                             f"got output_padding={self.output_padding}, stride={self.stride}")
+        check_geometry(f"{self.kind.value} layer", self.stride, self.padding, self.output_padding)
 
     def out_dim(self, size: int) -> int:
         if self.kind.is_transposed:
@@ -359,16 +354,8 @@ class CodecModel:
 
     # -- bandwidth bookkeeping -------------------------------------------
     @property
-    def n(self) -> int:
-        return self.architecture.n
-
-    @property
     def k(self) -> int:
         return self.architecture.k
-
-    @property
-    def rho(self) -> Fraction:
-        return self.architecture.rho
 
     # -- graph-building pieces (used by training) ------------------------
     def encode_graph(self, x_raw: Tensor, *, constant: bool = False) -> Tensor:

@@ -29,25 +29,29 @@ class TrainConfig:
     max_steps: int | None = None  # cap total optimizer steps (desk-scale runs)
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 1:
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.batch_size < 1 or self.epochs < 1:
             raise ValueError(f"hyperparameters must be positive: {self}")
+        if self.max_steps is not None and not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be None or an int >= 1, got {self.max_steps!r}")
 
 
 class Adam:
     """Standard Adam with bias correction over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 0.001):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -56,7 +60,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -73,7 +77,6 @@ class StepRecord:
 
 @dataclass
 class TrainResult:
-    model: CodecModel
     history: list[StepRecord] = field(default_factory=list)
 
 
@@ -109,7 +112,7 @@ def train(model: CodecModel, data: Dataset, cfg: TrainConfig,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x53]))
     channel = AwgnChannel(channel_cfg)
     optimizer = Adam(model.params, lr=cfg.learning_rate)
-    result = TrainResult(model)
+    result = TrainResult()
     step = 0
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(data))

@@ -55,7 +55,7 @@ class TestRoundTrip:
         assert loaded.variant is VariantId.R60_E2D2
         assert loaded.power == 1.5
         assert loaded.architecture == small_model.architecture
-        assert loaded.k == small_model.k and loaded.rho == small_model.rho
+        assert loaded.k == small_model.k and loaded.architecture.rho == small_model.architecture.rho
 
     def test_f32_representable_params_bitwise(self, small_model, tmp_path):
         p = tmp_path / "m.dscj"

@@ -66,6 +66,12 @@ class TestPsnr:
         y = rng.uniform(0, 255, size=(1, 3, 4, 4))
         assert psnr(x, y) == psnr(y, x)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mse_rejected(self, bad):
+        x = rng.uniform(0, 255, size=(1, 3, 4, 4))
+        with pytest.raises(ValueError, match="non-finite MSE"):
+            psnr(x, x + bad)
+
     @given(st.floats(0.01, 1000.0), st.floats(1.01, 5.0))
     @settings(max_examples=30)
     def test_strictly_decreasing_in_mse(self, mse, factor):
@@ -107,6 +113,12 @@ class TestEvaluateSweep:
         model, data = model_and_data
         with pytest.raises(ValueError, match="snr_list"):
             evaluate_sweep(model, data, [], seed=0)
+
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_no_draws_rejected(self, model_and_data, draws):
+        model, data = model_and_data
+        with pytest.raises(ValueError, match="draws_per_image"):
+            evaluate_sweep(model, data, [10.0], draws_per_image=draws, seed=0)
 
     def test_csv_header(self, model_and_data):
         model, data = model_and_data

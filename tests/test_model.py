@@ -15,7 +15,7 @@ from dscjscc.autodiff import Tensor
 from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.kernels import ShapeError
 from dscjscc.model import (VARIANT_ORDER, VARIANT_PATTERNS, Activation, CodecModel,
-                           LayerKind, VariantId, build_variant,
+                           LayerKind, LayerSpec, VariantId, build_variant,
                            build_variant_architecture, default_base_architecture,
                            denormalize_pixels, normalize_pixels)
 from dscjscc.training import Adam, train_step
@@ -73,6 +73,16 @@ class TestBaseArchitecture:
         layers[index] = replace(layers[index], **{field: value})
         with pytest.raises(ShapeError, match=message):
             replace(arch, **{side: tuple(layers)})
+
+
+    @pytest.mark.parametrize("kind, stride, padding, output_padding, message", [
+        (LayerKind.CONV, 0, 2, None, "Conv layer: stride must be >= 1"),
+        (LayerKind.DSCONV, 1, -1, None, "DSConv layer: stride must be >= 1 and padding >= 0"),
+        (LayerKind.TCONV, 2, 2, 2, "TConv layer: output_padding must satisfy"),
+    ])
+    def test_layer_geometry_rejected(self, kind, stride, padding, output_padding, message):
+        with pytest.raises(ShapeError, match=message):
+            LayerSpec(kind, 8, 8, 5, stride, padding, output_padding)
 
 
 class TestVariantBuilder:

@@ -132,6 +132,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("max_steps", 0), ("max_steps", -3), ("max_steps", 2.5),
+    ])
+    def test_non_finite_rate_and_no_steps_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
 
 def _step_graph_grads(variant, image_requires_grad):
     # the graph of training.train_step, with the image tensor kept for inspection
