@@ -15,49 +15,44 @@ Weight layouts:
     transposed conv      (Cin, Cout, K, K)
     depthwise (both)     (C, 1, K, K)
 
-All four layer kinds run on one core that takes a dense/depthwise flag (a
-depthwise layer is the groups=C case): ``_cols`` copies input patches,
-``_conv`` convolves them, ``_conv_input_adjoint`` is its adjoint with respect
-to the input and ``_conv_weight_grad`` its gradient with respect to the
-kernel.  A transposed convolution is the input-adjoint of the matching
-convolution (Dumoulin & Visin, arXiv:1603.07285), so its backward pass is the
-convolution itself, and its weight gradient is the convolution's with input
-and upstream swapped.
+Each kind has one lowering, chosen by what bounds its speed.  A transposed
+convolution is the input-adjoint of the matching convolution (Dumoulin &
+Visin, arXiv:1603.07285), so its backward pass is the convolution itself, and
+its weight gradient is the convolution's with input and upstream swapped.
 
-Both kinds lower their input with one patch copy, MEC's (Cho & Brand,
-arXiv:1706.06873): ``_shifts`` copies the input once per tap column, a k-fold
-copy where im2col makes a k*k-fold one, so that the k input rows an output
-row reads are consecutive rows of the copy, each Wo*N long.  Dense, the copy
-is row-major, (rows, C, k, Wo*N), so those rows form one (k*C*k, Wo*N)
-window with a single row stride, and the conv is one batched GEMM over
-output rows: the (Cout, k*C*k) kernel times each row's window, written
-straight into the (C, H, W, N) output.  The weight gradient is each row's
-``gy`` times its window transposed, summed over rows.  A pointwise conv's
-patches are the input itself, reshaped without a copy, and it is one GEMM
-(MobileNets, arXiv:1704.04861, runs its 1x1 layers the same way).
+Dense layers are compute-bound, and lower their input with MEC's patch copy
+(Cho & Brand, arXiv:1706.06873): ``_cols`` copies the input once per tap
+column, a k-fold copy where im2col makes a k*k-fold one, into a row-major
+(rows, C, k, Wo*N) array, so that the k input rows an output row reads form
+one (k*C*k, Wo*N) window with a single row stride.  The conv (``_conv``) is
+one batched GEMM over output rows, the (Cout, k*C*k) kernel times each row's
+window, written straight into the output; the weight gradient
+(``_conv_weight_grad``) is each row's ``gy`` times its window transposed,
+summed over rows.  The copy is amortised over Cout output channels.  A
+pointwise conv's patches are the input itself, reshaped without a copy, and
+it is one GEMM (MobileNets, arXiv:1704.04861, runs its 1x1 layers the same
+way).  Every stride-1 input adjoint is the convolution of ``gy`` with the
+flipped kernel; a strided one (``_conv_input_adjoint``) builds each output
+phase, the rows and columns that share an offset modulo the stride (sub-pixel
+convolution: Shi et al., arXiv:1609.05158), from the stamps of the taps that
+land on it, and writes it once into its strided slots.
 
-Depthwise, the copy is channel-major, (C, rows, k, Wo*N), and along the
-other axis a channel's kernel becomes a banded (Toeplitz) matrix: a tile of
-th output rows reads an overlapping window of L = stride*(th - 1) + k input
-rows, and its (th, L*k) band holds the k*k taps on th shifted diagonals.
-Every channel and tile of a layer goes through one batched ``matmul``, and
-the weight gradient, summed over tiles, is read back off the band.  The band
-carries L*k entries per row for k*k taps, so taller tiles waste more of each
-GEMM and shorter ones make more calls; 2- and 4-row tiles measured alike and
-best, 1, 3, 6, 8 and 16 slower.
-
-Every stride-1 input adjoint, of either kind, is the convolution of ``gy``
-with the flipped kernel (Dumoulin & Visin, arXiv:1603.07285).  A strided one
-works per output phase.  A stride-s transposed convolution splits into s*s
-stride-1 sums, one per output phase: the rows and columns that share an
-offset modulo s, each fed by the taps whose offset matches (sub-pixel
-convolution: Shi et al., arXiv:1609.05158 and arXiv:1609.07009).
-Depthwise, each phase is a stride-1 banded convolution of ``gy`` with the
-phase's taps; dense, each phase is one contiguous block built from the
-in-range slices of its taps' stamps.  Either way the phase is written once
-into its strided slots of the output, so no padded grid is zeroed, cropped
-or updated through strided read-modify-write adds (see
-``_conv_input_adjoint``).
+Depthwise layers do one multiply-add per tap and input element, so they are
+memory-bound: memory traffic, not FLOPs, sets their speed (ShuffleNet V2,
+Ma et al., arXiv:1807.11164), and a k-fold copy of the input costs more than
+the multiplies it feeds (Zhang, Lo & Lu, arXiv:2001.02504).  So the depthwise
+lowering (``_depthwise``) makes no such copy.  In the (C, H, W, N) layout the
+k input rows an output row reads are one contiguous (k*W, N) slab of the
+row-padded input, so each channel's output row is that slab, transposed,
+times a per-channel Toeplitz matrix T of shape (k*W, Wo) that holds the taps
+and the column padding; a transposed convolution does the same for a tile of
+``stride`` output rows and the L input rows they read.  Every channel and
+tile goes through one batched ``matmul``, and every input adjoint is the
+other direction's lowering.  With T the GEMM does W/k times the useful
+multiply-adds, the rest by zeros, and is still faster than copying the input
+k times.  The weight gradient (``_depthwise_weight_grad``) copies the input
+once, padded, into row-parity planes, so that one GEMM per parity sums over
+rows and batch at once.
 """
 
 from __future__ import annotations
@@ -125,104 +120,63 @@ def _validate(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, strid
     return ho, wo
 
 
+def _view(a: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...], offset: int = 0) -> np.ndarray:
+    """A read-only view of the contiguous ``a``, from its element ``offset``, that numpy checks stays inside ``a``."""
+    view = np.ndarray(shape, a.dtype, a, offset * a.itemsize, strides)
+    view.flags.writeable = False
+    return view
+
+
 # ---------------------------------------------------------------------------
-# the shared core
+# dense: MEC's row-shift copy
 # ---------------------------------------------------------------------------
 
-_TILE_ROWS = 4  # output rows per banded depthwise GEMM
-
-
-def _shifts(x: np.ndarray, k: int, stride: int, top: int, left: int, rows: int, wo: int,
-            row_major: bool = False) -> np.ndarray:
-    """The row-shift copy X[c, r, j, wo*N + n] = x[c, top + r, left + stride*wo + j, n], zero outside ``x``.
-
-    A contiguous (C, rows, k, Wo*N) array, or (rows, C, k, Wo*N) if ``row_major``.
-    """
-    c, h, wd, n = x.shape
-    buf = np.zeros((rows, c, k, wo, n) if row_major else (c, rows, k, wo, n), dtype=x.dtype)
-    cols = buf.swapaxes(0, 1) if row_major else buf
-    r0, r1 = max(0, -top), min(rows, h - top)
-    for j in range(k):
-        # output column o reads input column left + stride*o + j, in range for o in [a, b)
-        a, b = max(0, -((left + j) // stride)), min(wo, (wd - 1 - left - j) // stride + 1)
-        if r0 < r1 and a < b:
-            x0 = left + stride * a + j
-            cols[:, r0:r1, j, a:b] = x[:, top + r0:top + r1, x0:x0 + stride * (b - a - 1) + 1:stride]
-    return buf.reshape(*buf.shape[:3], wo * n)
-
-
-def _cols(x: np.ndarray, k: int, stride: int, padding: int, depthwise: bool) -> np.ndarray:
+def _cols(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     """Patches of the (C, H, W, N) input, zero-padded by ``padding`` on each side.
 
-    The ``_shifts`` copy of the stride*(Ho - 1) + k padded rows the output
-    reads, row-major when dense; an unpadded stride-1 1x1 dense kernel's
-    patches are ``x`` itself, reshaped to (C, H*W*N).
+    The row-shift copy X[r, c, j, wo*N + n] = x[c, r - padding, stride*wo + j - padding, n]
+    of the stride*(Ho - 1) + k padded rows the output reads, zero outside
+    ``x``: a contiguous (rows, C, k, Wo*N) array.  An unpadded stride-1 1x1
+    kernel's patches are ``x`` itself, reshaped to (C, H*W*N).
     """
-    if not depthwise and k == 1 and stride == 1 and not padding:
-        return x.reshape(x.shape[0], -1)
-    ho, wo = (conv_out_dim(d, k, stride, padding) for d in x.shape[1:3])
-    return _shifts(x, k, stride, -padding, -padding, stride * (ho - 1) + k, wo, not depthwise)
-
-
-def _tiles(rows: int) -> list[tuple[int, int, int]]:
-    """(first row, tile height, tile count): whole tiles of output rows, then the rest as one tile."""
-    th = min(_TILE_ROWS, rows)
-    count, rest = divmod(rows, th)
-    return [(0, th, count)] + ([(count * th, rest, 1)] if rest else [])
-
-
-def _windows(cols: np.ndarray, ky: int, stride: int, row0: int, th: int, count: int) -> np.ndarray:
-    """``count`` overlapping (L*kx, Wo*N) row windows of a depthwise ``cols``, read-only.
-
-    Window t feeds output rows row0 + t*th .. + th - 1 and covers the
-    L = stride*(th - 1) + ky input rows they read.
-    """
-    c, _, kx, m = cols.shape
-    sc, sr, sj, se = cols.strides
-    return np.lib.stride_tricks.as_strided(
-        cols[:, stride * row0:], (c, count, (stride * (th - 1) + ky) * kx, m),
-        (sc, stride * th * sr, sj, se), writeable=False)
-
-
-def _band(a: np.ndarray, ky: int, kx: int, stride: int) -> np.ndarray:
-    """The (C, th, ky, kx) taps of a (C, th, L*kx) banded matrix, as a strided view.
-
-    Row h of the band holds tap (i, j) at column (stride*h + i)*kx + j.
-    """
-    sc, sh, se = a.strides
-    return np.lib.stride_tricks.as_strided(a, (a.shape[0], a.shape[1], ky, kx),
-                                           (sc, sh + stride * kx * se, kx * se, se))
+    c, h, wd, n = x.shape
+    if k == 1 and stride == 1 and not padding:
+        return x.reshape(c, -1)
+    ho, wo = (conv_out_dim(d, k, stride, padding) for d in (h, wd))
+    rows = stride * (ho - 1) + k
+    buf = np.zeros((rows, c, k, wo, n), dtype=x.dtype)
+    cols = buf.swapaxes(0, 1)
+    r0, r1 = min(rows, padding), min(rows, h + padding)
+    for j in range(k):
+        # output column o reads input column stride*o + j - padding, in range for o in [a, b)
+        a, b = max(0, -((j - padding) // stride)), min(wo, (wd - 1 + padding - j) // stride + 1)
+        if r0 < r1 and a < b:
+            x0 = stride * a + j - padding
+            cols[:, r0:r1, j, a:b] = x[:, r0 - padding:r1 - padding, x0:x0 + stride * (b - a - 1) + 1:stride]
+    return buf.reshape(rows, c, k, wo * n)
 
 
 def _row_windows(cols: np.ndarray, ky: int, stride: int, ho: int) -> np.ndarray:
-    """The (Ho, ky*C*kx, Wo*N) windows of a row-major ``cols``, one per output row, read-only."""
+    """The (Ho, ky*C*kx, Wo*N) windows of ``cols``, one per output row, read-only.
+
+    Output row r reads the ky consecutive rows from stride*r, one contiguous slab.
+    """
     rows, c, kx, m = cols.shape
-    return _windows(cols.reshape(1, rows, c * kx, m), ky, stride, 0, 1, ho)[0]
+    return _view(cols, (ho, ky * c * kx, m), (stride * cols.strides[0], *cols.strides[2:]))
 
 
-def _conv(cols: np.ndarray, w: np.ndarray, stride: int, shape: tuple[int, int, int],
-          depthwise: bool) -> np.ndarray:
+def _conv(cols: np.ndarray, w: np.ndarray, stride: int, shape: tuple[int, int, int]) -> np.ndarray:
     """Convolve the patches ``cols`` with a (Cout, Cin, ky, kx) kernel; ``shape`` is the output (Ho, Wo, N).
 
-    ``stride`` is the step between the input rows that consecutive output
-    rows start at.  Dense, it is one GEMM per output row, all in one batched
-    ``matmul``; depthwise, one per channel and tile of output rows, its
-    banded (th, L*kx) tap matrix times its row window.
+    One GEMM per output row, all in one batched ``matmul``: the (Cout,
+    ky*Cin*kx) kernel times the row's window, written into the output.
     """
-    cout, _, ky, kx = w.shape
+    cout, _, ky, _ = w.shape
     if cols.ndim == 2:  # pointwise: the patches are the input itself
         return (w.reshape(cout, -1) @ cols).reshape(cout, *shape)
-    m = cols.shape[3]
-    y = np.empty((cout, shape[0], m), dtype=np.result_type(cols, w))
-    if not depthwise:
-        np.matmul(w.transpose(0, 2, 1, 3).reshape(cout, -1), _row_windows(cols, ky, stride, shape[0]),
-                  out=y.transpose(1, 0, 2))
-        return y.reshape(cout, *shape)
-    for row0, th, count in _tiles(shape[0]):
-        band = np.zeros((cout, th, (stride * (th - 1) + ky) * kx), dtype=w.dtype)
-        _band(band, ky, kx, stride)[...] = w
-        np.matmul(band[:, None], _windows(cols, ky, stride, row0, th, count),
-                  out=y[:, row0:row0 + th * count].reshape(cout, count, th, m))
+    y = np.empty((cout, shape[0], cols.shape[3]), dtype=np.result_type(cols, w))
+    np.matmul(w.transpose(0, 2, 1, 3).reshape(cout, -1), _row_windows(cols, ky, stride, shape[0]),
+              out=y.transpose(1, 0, 2))
     return y.reshape(cout, *shape)
 
 
@@ -234,8 +188,6 @@ def _phase_taps(size: int, gsize: int, k: int, stride: int,
     ``r0 + padding - i`` is a multiple of the stride, and is listed, in
     ascending order, with the block rows it adds to and the ``gy`` rows it
     reads (tap ``i`` feeds output ``r`` from ``gy`` row ``(r + padding - i) / stride``).
-    The listed taps of a phase are consecutive, each reading one ``gy`` row
-    before the last.
     """
     phases = []
     for r0 in range(min(stride, size)):
@@ -251,103 +203,183 @@ def _phase_taps(size: int, gsize: int, k: int, stride: int,
 
 
 def _conv_input_adjoint(gy: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                        size: tuple[int, int], depthwise: bool) -> np.ndarray:
+                        size: tuple[int, int]) -> np.ndarray:
     """Adjoint of ``_conv`` with respect to its (H, W) = ``size`` input.
 
-    At stride 1, for both kinds, it is the convolution of ``gy``, padded by
-    k - 1 - padding, with the flipped kernel (read as (C, Cout, k, k) when
-    dense); when padding >= k, ``gy`` is cropped by padding - k + 1 instead,
-    since its outermost rows and columns reach no input.  A pointwise layer's
-    cols are ``gy`` itself, so its adjoint is the one GEMM W.T @ gy.
+    At stride 1 it is the convolution of ``gy``, padded by k - 1 - padding,
+    with the flipped kernel read as (C, Cout, k, k); when padding >= k,
+    ``gy`` is cropped by padding - k + 1 instead, since its outermost rows
+    and columns reach no input.  A pointwise layer's cols are ``gy`` itself,
+    so its adjoint is the one GEMM W.T @ gy.
 
     At a larger stride, each output phase (y0, x0), rows ``y0::stride`` and
     columns ``x0::stride``, is built as one block and written once into its
-    strided slots of the output; a phase no tap reaches is zero.  Depthwise,
-    the block is a stride-1 banded convolution, through ``_conv``, of ``gy``
-    with the phase's sub-kernel: the taps that land on it, reversed on both
-    axes, sliding over ``gy`` one row per output from the row the last tap
-    reads first.  Its row-shift copy reads zeros outside ``gy``, so ``gy`` is
-    never padded.  One stride-1 convolution of a zero-inserted ``gy`` instead
-    won only at batch 1 (dec4's 16-channel 16->32 layer: 0.18 against
-    0.35 ms) and lost at batch 16 and 32 (3.3 against 2.1 ms, 9.2 against
-    5.0 ms).  Dense, the block is zeroed and every tap landing on the phase
-    adds the in-range slice of its stamp, taps in (i, j) order.  The stamps
-    come tap-major from one GEMM, the (k*k*C, Cout) kernel times ``gy`` as
-    (Cout, Ho*Wo*N), each a contiguous (C, Ho, Wo, N) slab of the
-    (k, k, C, Ho, Wo, N) result.  Against the stamps, a dense phase run as
-    its own row-shift convolution took 1.02-1.07x their time for dec3's
-    tconv forward and enc1's input gradient and 1.92-1.95x for dec4's at
-    batch 32, 1.44-1.68x at batch 1, and 1.01x over a baseline train step;
-    stamps built per phase from only its taps took 1.00-1.15x at batch 32
-    and 1.37-1.50x at batch 1 (baseline at 32x32x3, one pinned CPU of a
-    2-core Xeon VM, OpenBLAS on one thread).
+    strided slots of the output; a phase no tap reaches is zero.  The block
+    is zeroed and every tap landing on the phase adds the in-range slice of
+    its stamp, taps in (i, j) order.  The stamps come tap-major from one
+    GEMM, the (k*k*C, Cout) kernel times ``gy`` as (Cout, Ho*Wo*N), each a
+    contiguous (C, Ho, Wo, N) slab of the (k, k, C, Ho, Wo, N) result.
+    Against the stamps, a phase run as its own row-shift convolution took
+    1.02-1.07x their time for dec3's tconv forward and enc1's input gradient
+    and 1.92-1.95x for dec4's at batch 32, 1.44-1.68x at batch 1, and 1.01x
+    over a baseline train step; stamps built per phase from only its taps
+    took 1.00-1.15x at batch 32 and 1.37-1.50x at batch 1 (baseline at
+    32x32x3, one pinned CPU of a 2-core Xeon VM, OpenBLAS on one thread).
     """
     cout, ho, wo, n = gy.shape
-    k = w.shape[2]
+    c, k = w.shape[1], w.shape[2]
     h, wd = size
     if stride == 1:
-        flipped = w[:, :, ::-1, ::-1] if depthwise else w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         pad = k - 1 - padding
         if pad < 0:
             gy, pad = gy[:, -pad:ho + pad, -pad:wo + pad], 0
-        return _conv(_cols(gy, k, 1, pad, depthwise), flipped, 1, (h, wd, n), depthwise)
-    c = w.shape[0] if depthwise else w.shape[1]
-    dtype = np.result_type(gy, w)
-    if not depthwise:
-        stamps = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.reshape(cout, -1)).reshape(k, k, c, ho, wo, n)
-    out = np.empty((c, h, wd, n), dtype=dtype)
+        return _conv(_cols(gy, k, 1, pad), w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, (h, wd, n))
+    stamps = (w.transpose(2, 3, 1, 0).reshape(-1, cout) @ gy.reshape(cout, -1)).reshape(k, k, c, ho, wo, n)
+    out = np.empty((c, h, wd, n), dtype=stamps.dtype)
     cols = _phase_taps(wd, wo, k, stride, padding)
     for y0, ny, ytaps in _phase_taps(h, ho, k, stride, padding):
         for x0, nx, xtaps in cols:
-            if depthwise and ytaps and xtaps:
-                iy, ix = [i for i, _, _ in reversed(ytaps)], [j for j, _, _ in reversed(xtaps)]
-                block = _conv(_shifts(gy, len(ix), 1, (y0 + padding - iy[0]) // stride,
-                                      (x0 + padding - ix[0]) // stride, ny + len(iy) - 1, nx),
-                              w[:, :, iy][:, :, :, ix], 1, (ny, nx, n), True)
-            else:  # dense, or a depthwise phase no tap reaches, which stays zero
-                block = np.zeros((c, ny, nx, n), dtype=dtype)
-                for i, by, gy_rows in ytaps:
-                    for j, bx, gy_cols in xtaps:
-                        block[:, by, bx] += stamps[i, j][:, gy_rows, gy_cols]
+            block = np.zeros((c, ny, nx, n), dtype=stamps.dtype)
+            for i, by, gy_rows in ytaps:
+                for j, bx, gy_cols in xtaps:
+                    block[:, by, bx] += stamps[i, j][:, gy_rows, gy_cols]
             out[:, y0::stride, x0::stride] = block
-            del block  # before the next phase makes its copy
+            del block  # before the next phase allocates its own
     return out
 
 
-def _conv_weight_grad(cols: np.ndarray, gy: np.ndarray, stride: int, w_shape: tuple[int, ...],
-                      depthwise: bool) -> np.ndarray:
+def _conv_weight_grad(cols: np.ndarray, gy: np.ndarray, stride: int, w_shape: tuple[int, ...]) -> np.ndarray:
     """Gradient of ``_conv`` with respect to its kernel, given the patches it read.
 
-    Each output row's (dense) or tile's (depthwise) ``gy`` times its window
-    transposed, summed over rows or tiles; a depthwise sum is the band's
-    gradient, and the taps are read back off it.
+    Each output row's ``gy`` times its window transposed, summed over rows.
     """
     cout, ho = gy.shape[:2]
     ky = w_shape[2]
     if cols.ndim == 2:  # pointwise
         return (gy.reshape(cout, -1) @ cols.T).reshape(w_shape)
     kx, m = cols.shape[2:]
-    gy = gy.reshape(cout, ho, m)
-    if not depthwise:
-        gw = (gy.transpose(1, 0, 2) @ _row_windows(cols, ky, stride, ho).transpose(0, 2, 1)).sum(axis=0)
-        return gw.reshape(cout, ky, -1, kx).transpose(0, 2, 1, 3).copy()  # C order: Adam is slower on a view
-    gw = np.zeros((cout, ky, kx), dtype=np.result_type(cols, gy))
-    for row0, th, count in _tiles(ho):
-        win = _windows(cols, ky, stride, row0, th, count)
-        band = (gy[:, row0:row0 + th * count].reshape(cout, count, th, m) @ win.transpose(0, 1, 3, 2)).sum(axis=1)
-        gw += _band(band, ky, kx, stride).sum(axis=1)
-    return gw[:, None]
+    gw = (gy.reshape(cout, ho, m).transpose(1, 0, 2) @ _row_windows(cols, ky, stride, ho).transpose(0, 2, 1)).sum(axis=0)
+    return gw.reshape(cout, ky, -1, kx).transpose(0, 2, 1, 3).copy()  # C order: Adam is slower on a view
+
+
+# ---------------------------------------------------------------------------
+# depthwise: per-channel Toeplitz GEMMs on the input in place
+# ---------------------------------------------------------------------------
+
+def _toeplitz(w: np.ndarray, th: int, rows: int, row_taps: tuple[int, int, int], wo: int, wi: int,
+              col_taps: tuple[int, int, int]) -> np.ndarray:
+    """Each channel's (rows*Wi, th*Wo) matrix T[c, b*Wi + q, a*Wo + X] = w[c, 0, i, j], 0 where (i, j) is no tap.
+
+    Output row a and column X of a tile read input row b and column q of its
+    window through tap i = ia*a + ib*b + i0, with (ia, ib, i0) = ``row_taps``,
+    and j = jx*X + jq*q + j0 likewise.  T is one strided view of a zero
+    canvas that holds the kernel where every (i, j) the tile can ask for has
+    a cell, copied once: a gather, not a scatter.
+    """
+    c, _, k, _ = w.shape
+
+    def span(u: int, v: int, t: int, nu: int, nv: int) -> tuple[int, int]:
+        # the kernel's taps 0..k-1 and every u*a + v*b + t (a < nu, b < nv) the tile asks for
+        ends = [u * a + v * b + t for a in (0, nu - 1) for b in (0, nv - 1)]
+        return min(0, *ends), max(k - 1, *ends)
+
+    (i_lo, i_hi), (j_lo, j_hi) = span(*row_taps, th, rows), span(*col_taps, wo, wi)
+    ni, nj = i_hi - i_lo + 1, j_hi - j_lo + 1
+    canvas = np.zeros((c, ni, nj), dtype=w.dtype)
+    canvas[:, -i_lo:k - i_lo, -j_lo:k - j_lo] = w[:, 0]
+    (ia, ib, i0), (jx, jq, j0) = row_taps, col_taps
+    e = canvas.itemsize
+    return _view(canvas, (c, rows, wi, th, wo), (ni * nj * e, ib * nj * e, jq * e, ia * nj * e, jx * e),
+                 (i0 - i_lo) * nj + j0 - j_lo).reshape(c, rows * wi, th * wo)
+
+
+def _depthwise(u: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int, padding: int,
+               size: tuple[int, int], transposed: bool) -> np.ndarray:
+    """The depthwise convolution, or transposed convolution, of the (C, H, W, N) ``u`` to (C, *size, N), plus ``b``.
+
+    Output rows go in tiles, each reading a window of consecutive input rows
+    that is one contiguous (rows*W, N) slab of the row-padded input: a tile
+    is one output row and its k input rows for a convolution, ``stride``
+    output rows and the L they read for a transposed one.  A tile is then
+    one GEMM per channel, its window times the tile's Toeplitz matrix T, so
+    no k-fold copy of the input is made.  The batch is the GEMM's rows, so a
+    batch row comes out the same whatever the batch (with the batch as its
+    columns, OpenBLAS's sums differ in the last bits below 8 columns).  GEMV
+    sums differ too, so a batch of 1 gets a zero second row and a 1-wide
+    output a second column, dropped after.
+    """
+    c, h, wi, n = u.shape
+    k = w.shape[2]
+    ho, wo = size
+    if transposed:  # output row s*t + a reads input rows t + r0 .. t + r0 + L - 1 through tap a + p - s*(r0 + b)
+        r0 = -((k - 1 - padding) // stride)
+        th, step, rows, tiles = stride, 1, (stride - 1 + padding) // stride - r0 + 1, -(-ho // stride)
+        row_taps, col_taps = (1, -stride, padding - stride * r0), (1, -stride, padding)
+    else:  # output row r reads input rows s*r - p .. s*r - p + k - 1
+        r0, th, step, rows, tiles = -padding, 1, stride, k, ho
+        row_taps, col_taps = (0, 1, 0), (-stride, 1, padding)
+    nn, wt = max(n, 2), max(wo, 2)  # numpy hands a 1-row or 1-column GEMM to GEMV
+    padded = np.zeros((c, step * (tiles - 1) + rows, wi, nn), dtype=u.dtype)
+    r1, r2 = max(0, -r0), min(padded.shape[1], h - r0)  # the padded rows that hold input rows
+    if r1 < r2:
+        padded[:, r1:r2, :, :n] = u[:, r0 + r1:r0 + r2]
+    sc, sr, _, se = padded.strides
+    windows = _view(padded, (c, tiles, nn, rows * wi), (sc, step * sr, se, nn * se))
+    prod = windows @ _toeplitz(w, th, rows, row_taps, wt, wi, col_taps)[:, None]  # (C, tiles, N, th*Wo)
+    del padded, windows  # so that the call peaks at the product and the output, not the input copy too
+    y = np.empty((c, tiles * th, wo, n), dtype=prod.dtype)
+    rows_of_y = prod[:, :, :n].reshape(c, tiles, n, th, wt)[..., :wo].transpose(0, 1, 3, 4, 2)
+    if b is None:
+        np.copyto(y.reshape(c, tiles, th, wo, n), rows_of_y)
+    else:
+        np.add(rows_of_y, b[:, None, None, None, None], out=y.reshape(c, tiles, th, wo, n))
+    return y if tiles * th == ho else y[:, :ho].copy()
+
+
+def _depthwise_weight_grad(u: np.ndarray, g: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """gw[c, 0, i, j] = sum over r, o, n of g[c, r, o, n] * u[c, s*r + i - p, s*o + j - p, n], u zero outside.
+
+    The convolution's kernel gradient, ``u`` its input and ``g`` the
+    gradient of its output.  ``u`` is copied once, padded, into ``stride``
+    row-parity planes (C, s, rows, N, Wp), so that the rows tap i reads for
+    every output row are Ho consecutive rows of plane i mod s, one
+    (Ho*N, Wp) window; ``g`` is transposed once to (C, Wo, Ho*N).  One
+    batched GEMM per parity gives every tap row's (Wo, Wp) product, and tap
+    (i, j) is the sum of its stride-s diagonal: entries (o, s*o + j).
+    """
+    c, h, wi, n = u.shape
+    ho, wo = g.shape[1:3]
+    wp, planes = stride * (wo - 1) + k, min(stride, k)
+    pu = np.zeros((c, planes, ho + (k - 1) // stride, n, wp), dtype=u.dtype)
+    x0, x1 = min(padding, wp), min(wp, wi + padding)  # the padded columns that hold input columns
+    for q in range(planes):  # plane row m holds input row s*m + q - p
+        m0, m1 = max(0, -((q - padding) // stride)), min(pu.shape[2], (h - 1 + padding - q) // stride + 1)
+        if m0 < m1 and x0 < x1:
+            r = stride * m0 + q - padding
+            pu[:, q, m0:m1, :, x0:x1] = u[:, r:r + stride * (m1 - m0 - 1) + 1:stride,
+                                          x0 - padding:x1 - padding].transpose(0, 1, 3, 2)
+    gt = g.transpose(0, 2, 1, 3).reshape(c, wo, ho * n)
+    prod = np.empty((c, k, wo, wp), dtype=np.result_type(pu, gt))
+    sc, sq, sm, _, se = pu.strides
+    for q in range(planes):
+        windows = _view(pu, (c, len(range(q, k, stride)), ho * n, wp), (sc, sm, wp * se, se), q * sq // se)
+        np.matmul(gt[:, None], windows, out=prod[:, q::stride])
+    sc, si, so, se = prod.strides
+    return _view(prod, (c, 1, k, k, wo), (sc, 0, si, se, so + stride * se)).sum(axis=4)
 
 
 def _forward(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int,
              padding: int, output_padding: int | None, depthwise: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Validate and run one layer call; returns (y, patches), patches None for a transposed layer."""
+    """Validate and run one layer call; returns (y, patches), patches None unless a dense convolution."""
     size = _validate(op, x, w, b, stride, padding, output_padding, depthwise)
+    if depthwise:
+        return _depthwise(x, w, b, stride, padding, size, output_padding is not None), None
+    cols = None
     if output_padding is None:
-        cols = _cols(x, w.shape[2], stride, padding, depthwise)
-        y = _conv(cols, w, stride, (*size, x.shape[3]), depthwise)
+        cols = _cols(x, w.shape[2], stride, padding)
+        y = _conv(cols, w, stride, (*size, x.shape[3]))
     else:
-        cols, y = None, _conv_input_adjoint(x, w, stride, padding, size, depthwise)
+        y = _conv_input_adjoint(x, w, stride, padding, size)
     if b is not None:
         y += b[:, None, None, None]
     return y, cols
@@ -360,21 +392,27 @@ def _channel_sum(gy: np.ndarray) -> np.ndarray:
 def _backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
               depthwise: bool, cols: np.ndarray | None,
               input_grad: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    # the weight gradient first, so that a depthwise layer's patches are
-    # freed before the input adjoint makes its own
-    gw = _conv_weight_grad(_cols(x, w.shape[2], stride, padding, depthwise) if cols is None else cols,
-                           gy, stride, w.shape, depthwise)
-    gx = _conv_input_adjoint(gy, w, stride, padding, x.shape[1:3], depthwise) if input_grad else None
+    k = w.shape[2]
+    if depthwise:
+        gw = _depthwise_weight_grad(x, gy, k, stride, padding)
+        gx = _depthwise(gy, w, None, stride, padding, x.shape[1:3], True) if input_grad else None
+    else:
+        gw = _conv_weight_grad(_cols(x, k, stride, padding) if cols is None else cols, gy, stride, w.shape)
+        gx = _conv_input_adjoint(gy, w, stride, padding, x.shape[1:3]) if input_grad else None
     return gx, gw, _channel_sum(gy)
 
 
 def _tbackward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
                depthwise: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the adjoint of the input-adjoint is the convolution itself, read with
-    # the (Cin,Cout,k,k) array as its (Cout',Cin',k,k) kernel
-    cols = _cols(gy, w.shape[2], stride, padding, depthwise)
-    gx = _conv(cols, w, stride, x.shape[1:], depthwise)
-    return gx, _conv_weight_grad(cols, x, stride, w.shape, depthwise), _channel_sum(gy)
+    # the (Cin,Cout,k,k) array as its (Cout',Cin',k,k) kernel, and the kernel
+    # gradient is the convolution's with input and upstream swapped
+    k = w.shape[2]
+    if depthwise:
+        return (_depthwise(gy, w, None, stride, padding, x.shape[1:3], False),
+                _depthwise_weight_grad(gy, x, k, stride, padding), _channel_sum(gy))
+    cols = _cols(gy, k, stride, padding)
+    return _conv(cols, w, stride, x.shape[1:]), _conv_weight_grad(cols, x, stride, w.shape), _channel_sum(gy)
 
 
 # ---------------------------------------------------------------------------

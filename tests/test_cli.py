@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,11 @@ class TestConfigParsing:
         # 1/10 of 768 values is 76.8 symbols; the derived c=9 sends 72, which is rho=3/32.
         with pytest.raises(ConfigError, match="rho=1/10 .*rho=3/32"):
             derive_bandwidth(VariantId.BASELINE, (16, 16, 3), rho="1/10")
+
+    def test_c_whose_weights_exceed_memory_rejected(self):
+        # 10**12 latent channels need terabytes of weights: rejected from the layer shapes, before any allocation
+        with pytest.raises(ConfigError, match="c is too large to build the model: c=1000000000000 needs"):
+            derive_bandwidth(VariantId.BASELINE, (16, 16, 3), c=10 ** 12)
 
     def test_neither_given_rejected(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -403,3 +411,27 @@ def test_fuzzed_config_value_parses_or_raises_value_error(tmp_path, where, value
     if parsed.dataset is not None and parsed.dataset["synthetic"] is not None:
         ints += [v for v in parsed.dataset["synthetic"].values() if v is not None]
     assert all(type(v) is int for v in ints), ints
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc")
+def test_main_keeps_freed_memory_for_reuse():
+    # after main's set-up a second 2 MiB array takes the first one's pages
+    # back, where glibc would grow its heap into fresh ones and fault each in
+    # (numpy asks for huge pages only from 4 MiB); run in a process of its
+    # own, as the setting is process-wide
+    code = """if True:
+        import resource
+        import numpy as np
+        from dscjscc import cli
+        cli._keep_freed_memory()
+        def faults():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            np.ones(1 << 18)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        faults()
+        print(faults())
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 128  # 2 MiB of fresh 4 KiB pages is 512 faults

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -367,10 +368,10 @@ def test_dense_input_adjoint_matches_oracle(n, c1, shift, h, k, s, p):
 @given(st.integers(2, 3), st.integers(1, 2), st.integers(2, 12), st.integers(1, 5), st.integers(1, 4),
        st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
-@example(n=2, shift=1, h=12, k=3, s=1, p=1)  # three whole tiles of output rows
-@example(n=3, shift=2, h=10, k=5, s=1, p=2)  # two whole tiles and a 2-row last one
-@example(n=2, shift=1, h=11, k=5, s=2, p=2)  # stride 2: a partial tile in the conv and in each phase
-@example(n=2, shift=2, h=5, k=2, s=4, p=0)  # two of four phases per axis get no tap
+@example(n=2, shift=1, h=12, k=3, s=1, p=1)  # stride 1: every tile one output row, both directions
+@example(n=3, shift=2, h=10, k=5, s=1, p=2)  # the codec's k=5, p=2 at stride 1
+@example(n=2, shift=1, h=11, k=5, s=2, p=2)  # stride 2, odd outputs: the transposed last tile is cropped
+@example(n=2, shift=2, h=5, k=2, s=4, p=0)  # stride above k: two rows of each transposed tile get no tap
 def test_depthwise_kernels_match_block_diagonal_dense(n, shift, h, k, s, p):
     # batch != channels, so a batch/channel mix-up in the batch-innermost
     # (C, H, W, N) layout cannot cancel out; every path is checked against
@@ -447,12 +448,16 @@ def test_input_adjoint_matches_oracle_at_every_stride(n, c, more, h, k, s, p):
                                atol=1e-12)
 
 
-_ROW_CASES = [(3, 9, 5, 2, 2), (4, 8, 5, 1, 2), (2, 7, 3, 3, 1), (3, 6, 2, 4, 0)]
+# (c, h, k, s, p); the last three are a 1x1 conv output and the codec's stride-2 layers, 16 and 32 wide
+_ROW_CASES = [(3, 9, 5, 2, 2), (4, 8, 5, 1, 2), (2, 7, 3, 3, 1), (3, 6, 2, 4, 0), (4, 4, 4, 1, 0), (2, 16, 5, 2, 2),
+              (2, 32, 5, 2, 2)]
 
 
 def _check_rows_independent(depthwise, c, h, k, s, p):
-    # both cores run the batch inside their GEMMs; each batch row of the
-    # forward and input gradient of both kinds must come out as if run alone
+    # both lowerings run the batch inside their GEMMs; each batch row of the
+    # forward and input gradient of both kinds must come out as if run alone,
+    # and bit for bit for the depthwise kind, whose GEMMs take the batch as
+    # their rows (a batch-1 decode must equal its row of a 16-row one)
     n, cout = 5, c if depthwise else c + 1
     r = _example_rng(c, h, k, s, p)
     x = r.standard_normal((c, h, h, n))
@@ -479,7 +484,10 @@ def _check_rows_independent(depthwise, c, h, k, s, p):
         whole = call(x, gy, gyt)
         for i in range(n):
             row = call(x[..., i:i + 1], gy[..., i:i + 1], gyt[..., i:i + 1])
-            np.testing.assert_allclose(whole[..., i:i + 1], row, atol=1e-12)
+            if depthwise:
+                np.testing.assert_array_equal(whole[..., i:i + 1], row)
+            else:
+                np.testing.assert_allclose(whole[..., i:i + 1], row, atol=1e-12)
 
 
 @pytest.mark.parametrize("c, h, k, s, p", _ROW_CASES)
@@ -490,6 +498,64 @@ def test_depthwise_kernels_are_row_independent(c, h, k, s, p):
 @pytest.mark.parametrize("c, h, k, s, p", _ROW_CASES)
 def test_dense_kernels_are_row_independent(c, h, k, s, p):
     _check_rows_independent(False, c, h, k, s, p)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.integers(1, 5),
+       st.integers(1, 4), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+@example(n=2, c=2, h=5, wd=11, k=5, s=2, p=2)  # wider than tall
+@example(n=1, c=3, h=12, wd=4, k=3, s=3, p=4)  # taller than wide, padding >= k
+@example(n=2, c=1, h=2, wd=7, k=4, s=4, p=1)  # stride above the height
+@example(n=2, c=1, h=3, wd=5, k=1, s=8, p=2)  # the one output row reads padding only
+def test_depthwise_kernels_match_dense_on_non_square_inputs(n, c, h, wd, k, s, p):
+    # the Toeplitz matrices depend on the width and the row padding on the
+    # height, so H != W here; every op of the kind, gw included, against the
+    # dense kernels on the block-diagonal kernel
+    r = _example_rng(n, c, h, wd, k, s, p)
+    x = r.standard_normal((n, c, h, wd))
+    w = r.standard_normal((c, 1, k, k))
+    b = r.standard_normal(c)
+    wb = block_diagonal_kernel(w)
+    diag = np.arange(c)
+    for opad in range(s):
+        dh, dw = (tconv_out_dim(d, k, s, p, opad) for d in (h, wd))
+        if min(dh, dw) < 1:
+            continue
+        np.testing.assert_allclose(depthwise_tconv2d_forward(x, w, b, s, p, opad),
+                                   tconv2d_forward(x, wb, b, s, p, opad), atol=1e-12)
+        gy = r.standard_normal((n, c, dh, dw))
+        gx, gw, gb = depthwise_tconv2d_backward(x, w, gy, s, p, opad)
+        gx_dense, gw_dense, gb_dense = tconv2d_backward(x, wb, gy, s, p, opad)
+        np.testing.assert_allclose(gx, gx_dense, atol=1e-12)
+        np.testing.assert_allclose(gw[:, 0], gw_dense[diag, diag], atol=1e-12)
+        np.testing.assert_allclose(gb, gb_dense, atol=1e-12)
+    ho, wo = conv_out_dim(h, k, s, p), conv_out_dim(wd, k, s, p)
+    if min(ho, wo) < 1:
+        return
+    np.testing.assert_allclose(depthwise_conv2d_forward(x, w, b, s, p), conv2d_forward(x, wb, b, s, p), atol=1e-12)
+    gy = r.standard_normal((n, c, ho, wo))
+    gx, gw, gb = depthwise_conv2d_backward(x, w, gy, s, p)
+    gx_dense, gw_dense, gb_dense = conv2d_backward(x, wb, gy, s, p)
+    np.testing.assert_allclose(gx, gx_dense, atol=1e-12)
+    np.testing.assert_allclose(gw[:, 0], gw_dense[diag, diag], atol=1e-12)
+    np.testing.assert_allclose(gb, gb_dense, atol=1e-12)
+
+
+def test_depthwise_backward_makes_no_k_fold_copy():
+    # the Toeplitz lowering reads its input in place: one batch-32 backward,
+    # outputs included, peaks below the k-fold row-shift copy of its input
+    c, h, n, k = 32, 8, 32, 5
+    x = rng.standard_normal((c, h, h, n))
+    w = rng.standard_normal((c, 1, k, k))
+    gy = rng.standard_normal((c, h, h, n))
+    rows = h - 1 + k
+    tracemalloc.start()
+    try:
+        kernels.depthwise_conv2d_backward(x, w, gy, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * k * h * n * c * x.itemsize
 
 
 @pytest.mark.parametrize("k, s, p", [(5, 2, 2), (5, 1, 2), (3, 3, 1), (2, 1, 0), (1, 2, 0)])
