@@ -37,8 +37,9 @@ def main() -> int:
     except (OSError, ValueError) as e:
         sys.exit(f"error: {e}")
     t0 = time.time()
+    # --snr-list=..., or argparse reads a list such as "-5,10" as a flag
     code = cli.main(["train", "--config", str(args.out / "train.json")]) or \
-        cli.main(["eval", "--config", str(args.out / "eval.json"), "--snr-list", args.snr_list])
+        cli.main(["eval", "--config", str(args.out / "eval.json"), f"--snr-list={args.snr_list}"])
     if code == 0:
         print(f"trained and swept {args.variant} in {time.time() - t0:.0f}s")
     return code

@@ -15,10 +15,13 @@ import numpy as np
 
 
 def sigma_from_snr(snr_db: float, power: float = 1.0) -> float:
-    """Noise power per complex symbol for a given SNR in dB."""
+    """Noise power per complex symbol for a given SNR in dB; inf when it is too large for a float."""
     if power <= 0.0:
         raise ValueError(f"transmit power must be positive, got {power}")
-    return power * 10.0 ** (-snr_db / 10.0)
+    try:
+        return power * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def snr_from_sigma(sigma2: float, power: float = 1.0) -> float:

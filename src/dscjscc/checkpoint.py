@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .complexity import layer_params
 from .model import (Activation, ArchitectureSpec, CodecModel, LayerKind, LayerSpec,
                     VariantId)
 
@@ -156,6 +157,8 @@ def _decode(path: str | Path, data: bytes) -> CodecModel:
     while pos < len(data):
         name_len = struct.unpack("<I", take(4))[0]
         name = take(name_len).decode("utf-8")
+        if name in params:
+            raise CheckpointError(f"{path}: tensor {name!r} is stored twice")
         rank = struct.unpack("<I", take(4))[0]
         dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
         count = math.prod(dims)
@@ -163,4 +166,9 @@ def _decode(path: str | Path, data: bytes) -> CodecModel:
         if not np.isfinite(arr).all():  # before CodecModel's widening copy, which warns on a signalling NaN
             raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite weight")
         params[name] = arr
+    # checked before CodecModel allocates the header's layers, which may declare more than memory holds
+    declared = sum(map(layer_params, arch.encoder + arch.decoder))
+    stored = sum(arr.size for arr in params.values())
+    if declared != stored:
+        raise CheckpointError(f"{path}: the header's layers hold {declared} parameters, but the file stores {stored}")
     return CodecModel(arch, variant=variant, power=power, params=params)

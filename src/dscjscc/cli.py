@@ -6,7 +6,7 @@ each key's kind and default: unknown keys are rejected at every level,
 override file values.  ``variant``, ``input_size`` and exactly one of rho / c
 resolve to one ArchitectureSpec, and ``eval`` checks its checkpoint against it.
 ``rho`` is a number or a ``"p/q"`` string and must give a whole c;
-``snr_list`` is non-empty.
+``snr_list`` is non-empty, and each SNR must give a channel of finite noise.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ def _rho(value) -> Fraction | None:
 
 # A kind is (what it expects, parser returning the parsed value or None); a
 # dict in place of a kind is a nested section with its own table.  Infinite
-# SNRs pass (the noiseless channel); NaN never does.
+# SNRs pass (+inf is the noiseless channel, and ``parse_config`` rejects an SNR
+# with no channel, such as -inf); NaN never does.
 _COUNT = ("an integer >= 1", lambda v: v if type(v) is int and v >= 1 else None)
 _SEED = ("an integer >= 0", lambda v: v if type(v) is int and v >= 0 else None)
 _POSITIVE = ("a finite number > 0", _positive)
@@ -159,11 +160,15 @@ def derive_bandwidth(variant: VariantId, input_shape: tuple[int, int, int],
                               f"the derived c={derived} gives rho={derived * probe.rho / 2}")
         c = derived
     architecture = build_variant_architecture(variant, input_shape, c)
-    weights = 8 * sum(map(layer_params, architecture.encoder + architecture.decoder))  # bytes, before numpy allocates
-    if weights > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ConfigError(f"c is too large to build the model: c={c} needs {weights} bytes of weights, "
-                          "more than this machine's memory")
+    weights = 8 * sum(map(layer_params, architecture.encoder + architecture.decoder))
+    _check_fits(weights, f"c is too large to build the model: c={c} needs {weights} bytes of weights")
     return architecture
+
+
+def _check_fits(nbytes: int, what: str) -> None:
+    """A ConfigError saying ``what`` if ``nbytes`` exceed physical memory; called before numpy allocates them."""
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"{what}, more than this machine's memory")
 
 
 def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
@@ -183,6 +188,15 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
     input_shape = parse_input_size(cfg.pop("input_size"))
     if input_shape[0] != input_shape[1]:  # images are center-cropped to a square
         raise ConfigError(f"input_size must be square, got {'x'.join(map(str, input_shape))}")
+    if dataset is not None and dataset["synthetic"] is not None:
+        count = dataset["synthetic"]["count"]
+        images = 8 * count * 3 * input_shape[0] ** 2
+        _check_fits(images, f"dataset.synthetic.count={count} needs {images} bytes of images")
+    for key, snr in [("train_snr_db", cfg["train_snr_db"]), *(("snr_list", snr) for snr in cfg["snr_list"])]:
+        try:  # ChannelConfig's own rule, so that eval's snr_list is checked before training
+            ChannelConfig(power=cfg["power"], snr_db=snr)
+        except ValueError as e:
+            raise ConfigError(f"{key} {snr!r} has no channel: {e}") from None
     variant = VariantId.from_name(cfg.pop("variant"))
     architecture = derive_bandwidth(variant, input_shape, cfg.pop("rho"), cfg.pop("c"))
     return ExperimentConfig(**cfg, variant=variant, architecture=architecture)

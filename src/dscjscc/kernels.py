@@ -4,6 +4,12 @@ Everything here operates on plain float64 numpy arrays; the graph layer in
 ``autodiff`` wraps these into differentiable nodes.  Convolution semantics are
 cross-correlation (no kernel flip), the universal deep-learning convention.
 
+Kernels trust their operands and check none of them: a codec's layer
+geometry is checked by ``model.LayerSpec``, its channel chain and each
+layer's output size (at least 1x1) by ``model.ArchitectureSpec``, its weight,
+bias and slope shapes by ``model.CodecModel``, and its input batch by
+``CodecModel.encode_graph`` and ``decode_graph``.
+
 Every activation, input, output and gradient alike, is a (C, H, W, N) array:
 channels outermost, the batch innermost, and every kernel output is
 C-contiguous in that order.  The codec converts its images to this layout
@@ -70,54 +76,6 @@ def conv_out_dim(size: int, k: int, stride: int, padding: int) -> int:
 
 def tconv_out_dim(size: int, k: int, stride: int, padding: int, output_padding: int) -> int:
     return (size - 1) * stride - 2 * padding + k + output_padding
-
-
-def check_geometry(what: str, stride: int, padding: int, output_padding: int | None) -> None:
-    """The one rule on a layer's geometry, for a layer spec and a kernel call alike.
-
-    ``output_padding`` is None for a convolution and an int for a transposed one.
-    """
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"{what}: stride must be >= 1 and padding >= 0, got stride={stride}, padding={padding}")
-    if output_padding is not None and not 0 <= output_padding < stride:
-        raise ShapeError(f"{what}: output_padding must satisfy 0 <= output_padding < stride, "
-                         f"got output_padding={output_padding}, stride={stride}")
-
-
-def _validate(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int,
-              padding: int, output_padding: int | None, depthwise: bool) -> tuple[int, int]:
-    """Check one layer call's operands; returns its output (H, W).
-
-    ``output_padding`` is None for a convolution and an int for a transposed one.
-    """
-    if x.ndim != 4 or min(x.shape) < 1:
-        raise ShapeError(f"{op}: input must be rank 4 (C,H,W,N) with dims >= 1, got shape {x.shape}")
-    if w.ndim != 4 or w.shape[2] != w.shape[3] or min(w.shape) < 1:
-        raise ShapeError(f"{op}: kernel weights must be rank 4 with square K x K taps "
-                         f"and dims >= 1, got shape {w.shape}")
-    check_geometry(op, stride, padding, output_padding)
-    transposed = output_padding is not None
-    c, h, wd, _ = x.shape
-    k = w.shape[2]
-    if depthwise:
-        if w.shape[1] != 1:
-            raise ShapeError(f"{op}: depthwise kernel must have one input slot per group, got {w.shape[1]}")
-        if w.shape[0] != c:
-            raise ShapeError(f"{op}: kernel has {w.shape[0]} channels, input has {c}")
-        cout = c
-    else:
-        cin, cout = (w.shape[0], w.shape[1]) if transposed else (w.shape[1], w.shape[0])
-        if cin != c:
-            raise ShapeError(f"{op}: kernel expects {cin} input channels, input has {c}")
-    if transposed:
-        ho, wo = (tconv_out_dim(d, k, stride, padding, output_padding) for d in (h, wd))
-    else:
-        ho, wo = (conv_out_dim(d, k, stride, padding) for d in (h, wd))
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"{op}: output spatial dims ({ho},{wo}) collapse below 1 for input {h}x{wd}")
-    if b is not None and b.shape != (cout,):
-        raise ShapeError(f"{op}: bias length {b.shape} != output channels {cout}")
-    return ho, wo
 
 
 def _view(a: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...], offset: int = 0) -> np.ndarray:
@@ -368,15 +326,19 @@ def _depthwise_weight_grad(u: np.ndarray, g: np.ndarray, k: int, stride: int, pa
     return _view(prod, (c, 1, k, k, wo), (sc, 0, si, se, so + stride * se)).sum(axis=4)
 
 
-def _forward(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int,
-             padding: int, output_padding: int | None, depthwise: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Validate and run one layer call; returns (y, patches), patches None unless a dense convolution."""
-    size = _validate(op, x, w, b, stride, padding, output_padding, depthwise)
+def _forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int, padding: int,
+             output_padding: int | None, depthwise: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Run one layer call; returns (y, patches), patches None unless a dense convolution."""
+    k = w.shape[2]
+    if output_padding is None:
+        size = tuple(conv_out_dim(d, k, stride, padding) for d in x.shape[1:3])
+    else:
+        size = tuple(tconv_out_dim(d, k, stride, padding, output_padding) for d in x.shape[1:3])
     if depthwise:
         return _depthwise(x, w, b, stride, padding, size, output_padding is not None), None
     cols = None
     if output_padding is None:
-        cols = _cols(x, w.shape[2], stride, padding)
+        cols = _cols(x, k, stride, padding)
         y = _conv(cols, w, stride, (*size, x.shape[3]))
     else:
         y = _conv_input_adjoint(x, w, stride, padding, size)
@@ -426,7 +388,7 @@ def conv2d_forward_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     The patches are the (rows, C, k, Wo*N) row-shift copy of ``_cols``, or the
     input itself, reshaped, for an unpadded stride-1 1x1 kernel.
     """
-    return _forward("conv2d", x, w, b, stride, padding, None, False)
+    return _forward(x, w, b, stride, padding, None, False)
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
@@ -441,7 +403,7 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
 
 def depthwise_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                              stride: int, padding: int) -> np.ndarray:
-    return _forward("depthwise_conv2d", x, w, b, stride, padding, None, True)[0]
+    return _forward(x, w, b, stride, padding, None, True)[0]
 
 
 def depthwise_conv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int, *,
@@ -451,7 +413,7 @@ def depthwise_conv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stri
 
 def tconv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                     stride: int, padding: int, output_padding: int) -> np.ndarray:
-    return _forward("tconv2d", x, w, b, stride, padding, output_padding, False)[0]
+    return _forward(x, w, b, stride, padding, output_padding, False)[0]
 
 
 def tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
@@ -461,7 +423,7 @@ def tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
 
 def depthwise_tconv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                               stride: int, padding: int, output_padding: int) -> np.ndarray:
-    return _forward("depthwise_tconv2d", x, w, b, stride, padding, output_padding, True)[0]
+    return _forward(x, w, b, stride, padding, output_padding, True)[0]
 
 
 def depthwise_tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
@@ -474,10 +436,6 @@ def depthwise_tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def prelu_forward(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    if x.ndim != 4 or min(x.shape) < 1:
-        raise ShapeError(f"prelu: input must be rank 4 (C,H,W,N) with dims >= 1, got shape {x.shape}")
-    if slopes.shape != (x.shape[0],):
-        raise ShapeError(f"prelu: slopes length {slopes.shape} != channels {x.shape[0]}")
     # max(x, 0) + s * min(x, 0): branch-free, where a per-element select
     # mispredicts on random signs and took twice as long
     y = np.minimum(x, 0.0)

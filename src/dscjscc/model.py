@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kernels import ShapeError, check_geometry, conv_out_dim, tconv_out_dim
+from .kernels import ShapeError, conv_out_dim, tconv_out_dim
 
 
 class LayerKind(Enum):
@@ -61,7 +61,12 @@ class LayerSpec:
             raise ShapeError(f"{self.kind.value} layer requires output_padding")
         if not self.kind.is_transposed and self.output_padding is not None:
             raise ShapeError(f"{self.kind.value} layer must not carry output_padding")
-        check_geometry(f"{self.kind.value} layer", self.stride, self.padding, self.output_padding)
+        if self.stride < 1 or self.padding < 0:
+            raise ShapeError(f"{self.kind.value} layer: stride must be >= 1 and padding >= 0, "
+                             f"got stride={self.stride}, padding={self.padding}")
+        if self.output_padding is not None and not 0 <= self.output_padding < self.stride:
+            raise ShapeError(f"{self.kind.value} layer: output_padding must satisfy 0 <= output_padding < stride, "
+                             f"got output_padding={self.output_padding}, stride={self.stride}")
 
     def out_dim(self, size: int) -> int:
         if self.kind.is_transposed:
@@ -86,14 +91,18 @@ class ArchitectureSpec:
         if len(self.encoder) != 5 or len(self.decoder) != 5:
             raise ShapeError(f"architecture must have 5+5 layers, got {len(self.encoder)}+{len(self.decoder)}")
         w, h, c = self.input_shape
-        channels = c  # each layer takes the channels the one before it gives, and dec4 gives back C
+        # each layer takes the channels and (H, W) the one before it gives, and dec4 gives back C
+        channels, dims, out_dims = c, (h, w), iter(self.out_dims)
         for side, layers, transposed in (("enc", self.encoder, False), ("dec", self.decoder, True)):
             for i, layer in enumerate(layers):
                 if layer.kind.is_transposed != transposed:
                     raise ShapeError(f"{side}{i} layer kind {layer.kind.value} invalid")
                 if layer.in_channels != channels:
                     raise ShapeError(f"{side}{i} takes {layer.in_channels} channels, but gets {channels}")
-                channels = layer.out_channels
+                channels, out = layer.out_channels, next(out_dims)
+                if min(out) < 1:
+                    raise ShapeError(f"{side}{i} maps {dims[0]}x{dims[1]} to {out[0]}x{out[1]}")
+                dims = out
         if channels != c:
             raise ShapeError(f"dec4 gives {channels} channels, but the input has {c}")
         if self.out_dims[-1] != (h, w):
@@ -361,9 +370,9 @@ class CodecModel:
     def encode_graph(self, x_raw: Tensor, *, constant: bool = False) -> Tensor:
         """Raw [0,255] images -> power-normalized (N, 2k) symbols; a ``constant`` pass records no graph."""
         w, h, c = self.architecture.input_shape
-        if x_raw.data.ndim != 4 or x_raw.data.shape[1:] != (c, h, w):
+        if x_raw.data.ndim != 4 or x_raw.data.shape[1:] != (c, h, w) or x_raw.data.shape[0] < 1:
             raise ShapeError(f"encode: input shape {x_raw.data.shape} does not match "
-                             f"architecture (N,{c},{h},{w})")
+                             f"architecture (N,{c},{h},{w}) with N >= 1")
         n = x_raw.data.shape[0]
         x = ad.transpose(ad.scale(x_raw, 1.0 / 255.0), _TO_CHWN)
         for spec, (trained, fixed) in zip(self.architecture.encoder, self._layers["enc"]):
@@ -374,8 +383,8 @@ class CodecModel:
 
     def decode_graph(self, symbols: Tensor, *, constant: bool = False) -> Tensor:
         """(N, 2k) interleaved symbols -> reconstructed images in [0, 1]; ``constant`` as in ``encode_graph``."""
-        if symbols.data.ndim != 2 or symbols.data.shape[1] != 2 * self.k:
-            raise ShapeError(f"decode: symbol block shape {symbols.data.shape} != (N, {2 * self.k})")
+        if symbols.data.ndim != 2 or symbols.data.shape[1] != 2 * self.k or symbols.data.shape[0] < 1:
+            raise ShapeError(f"decode: symbol block shape {symbols.data.shape} != (N, {2 * self.k}) with N >= 1")
         hbar, wbar = self.architecture.latent_dims
         x = ad.reshape(symbols, (symbols.data.shape[0], self.architecture.channel_count, hbar, wbar))
         x = ad.transpose(x, _TO_CHWN)

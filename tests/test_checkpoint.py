@@ -4,15 +4,19 @@ import json
 import math
 import struct
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dscjscc.autodiff import Tensor
 from dscjscc.checkpoint import (FORMAT_VERSION, MAGIC, CheckpointError,
                                 load_checkpoint, save_checkpoint)
-from dscjscc.model import CodecModel, VariantId, build_variant_architecture
+from dscjscc.model import (ArchitectureSpec, CodecModel, VariantId, build_variant_architecture,
+                           init_layer_params)
+from test_model import COLLAPSED_DECODER, COLLAPSED_ENCODER
 
 
 def rewrite_header(path, edit):
@@ -23,6 +27,21 @@ def rewrite_header(path, edit):
     edit(header)
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length:])
+
+
+def save_collapsed_codec(path):
+    """Save the 8x8x3 codec of ``COLLAPSED_ENCODER`` and ``_DECODER``, each header field and tensor as its layers give.
+
+    ``ArchitectureSpec`` rejects those layers, so the spec is assembled without its check.
+    """
+    arch = object.__new__(ArchitectureSpec)
+    for field, value in (("encoder", COLLAPSED_ENCODER), ("decoder", COLLAPSED_DECODER), ("input_shape", (8, 8, 3))):
+        object.__setattr__(arch, field, value)
+    rng = np.random.default_rng(0)
+    params = {f"{side}{i}.{name}": Tensor(arr)
+              for side, layers in (("enc", arch.encoder), ("dec", arch.decoder))
+              for i, spec in enumerate(layers) for name, arr in init_layer_params(spec, rng).items()}
+    save_checkpoint(SimpleNamespace(architecture=arch, variant=None, power=1.0, params=params), path)
 
 
 # header field -> an edit that removes it or gives it the wrong type
@@ -149,6 +168,36 @@ class TestTampering:
         save_checkpoint(small_model, p)
         rewrite_header(p, edit)
         with pytest.raises(CheckpointError, match=f"'{key}' .* but the layers give"):
+            load_checkpoint(p)
+
+    def test_codec_with_a_layer_output_below_one_pixel_rejected(self, tmp_path):
+        p = tmp_path / "collapsed.dscj"
+        save_collapsed_codec(p)
+        with pytest.raises(CheckpointError, match="enc0 maps 8x8 to 0x0"):
+            load_checkpoint(p)
+
+    def test_tensor_stored_twice_rejected(self, small_model, tmp_path):
+        p = tmp_path / "m.dscj"
+        save_checkpoint(small_model, p)
+        name, slopes = b"enc0.prelu", np.full(small_model.params["enc0.prelu"].data.size, 9.0, dtype="<f4")
+        p.write_bytes(p.read_bytes() + struct.pack("<I", len(name)) + name
+                      + struct.pack("<II", 1, slopes.size) + slopes.tobytes())
+        with pytest.raises(CheckpointError, match="tensor 'enc0.prelu' is stored twice"):
+            load_checkpoint(p)
+
+    def test_header_that_declares_more_parameters_than_stored_rejected(self, small_model, tmp_path):
+        # 10**12 latent channels: rejected by counting, before CodecModel would allocate their weights
+        huge = build_variant_architecture(VariantId.R60_E2D2, (16, 16, 3), 10 ** 12)
+
+        def declare_huge_c(h):
+            h["architecture"]["encoder"][4]["out_channels"] = h["architecture"]["decoder"][0]["in_channels"] = 10 ** 12
+            h["architecture"]["channel_count"] = h["c"] = 10 ** 12
+            h["rho"] = f"{huge.rho.numerator}/{huge.rho.denominator}"
+
+        p = tmp_path / "m.dscj"
+        save_checkpoint(small_model, p)
+        rewrite_header(p, declare_huge_c)
+        with pytest.raises(CheckpointError, match=r"the header's layers hold \d+ parameters, but the file stores"):
             load_checkpoint(p)
 
 

@@ -17,7 +17,7 @@ from dscjscc.cli import (ConfigError, ExperimentConfig, derive_bandwidth, main, 
                          parse_input_size)
 from dscjscc.model import VariantId, build_variant_architecture
 from dscjscc.training import TrainingError
-from test_checkpoint import rewrite_header
+from test_checkpoint import rewrite_header, save_collapsed_codec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -162,10 +162,10 @@ class TestConfigParsing:
         # An infinite train SNR is the noiseless channel; an integer too large
         # for a float reads as an infinity instead of overflowing.
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"c": 8, "train_snr_db": math.inf, "snr_list": [-10 ** 400, 5]}))
+        cfg.write_text(json.dumps({"c": 8, "train_snr_db": math.inf, "snr_list": [10 ** 400, 5]}))
         parsed = parse_config(cfg)
         assert parsed.train_snr_db == math.inf
-        assert parsed.snr_list == (-math.inf, 5.0)
+        assert parsed.snr_list == (math.inf, 5.0)
 
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -308,6 +308,13 @@ class TestTrainEvalCommands:
         pytest.param("snr_list", [], "snr_list", id="snr_list-empty"),
         pytest.param("c", 10 ** 400, "c is too large", id="c-huge-int"),
         pytest.param("input_size", "16x8x3", "square", id="input_size-not-square"),
+        pytest.param("train_snr_db", -4000, "train_snr_db -4000.0 has no channel", id="train_snr_db-minus-4000"),
+        pytest.param("train_snr_db", -math.inf, "train_snr_db -inf has no channel", id="train_snr_db-minus-inf"),
+        pytest.param("snr_list", [5, -4000], "snr_list -4000.0 has no channel", id="snr_list-minus-4000"),
+        pytest.param("snr_list", [-math.inf], "snr_list -inf has no channel", id="snr_list-minus-inf"),
+        # 10**12 16x16 images need 6 PB: rejected from the count, before any allocation
+        pytest.param("dataset", {"synthetic": {"count": 10 ** 12}}, "dataset.synthetic.count=1000000000000 needs",
+                     id="dataset-synthetic-count-huge"),
     ])
     def test_malformed_config_value_nonzero_exit(self, capsys, tmp_path, key, value, message):
         cfg = {**VALID_CONFIG, "out_dir": str(tmp_path / "run")}
@@ -355,6 +362,21 @@ class TestTrainEvalCommands:
         code, _, err = run_cli(capsys, "eval", "--config", str(desk_config[0]), "--snr-list", "a,5")
         assert code == 1
         assert err.startswith("error:") and "snr_list" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("snrs", ["-4000", "5,-inf"])
+    def test_snr_flag_with_no_channel_nonzero_exit(self, capsys, desk_config, snrs):
+        code, _, err = run_cli(capsys, "eval", "--config", str(desk_config[0]), f"--snr-list={snrs}")
+        assert code == 1
+        assert err.startswith("error: snr_list -") and "has no channel" in err and err.count("\n") == 1
+
+    def test_checkpoint_with_a_layer_output_below_one_pixel_nonzero_exit(self, capsys, tmp_path):
+        ckpt = tmp_path / "collapsed.dscj"
+        save_collapsed_codec(ckpt)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**VALID_CONFIG, "input_size": "8x8x3", "checkpoint": str(ckpt)}))
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith(f"error: {ckpt}: enc0 maps 8x8 to 0x0") and err.count("\n") == 1
 
     def test_training_error_nonzero_exit(self, capsys, desk_config, monkeypatch):
         def diverge(*_args):

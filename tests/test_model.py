@@ -14,7 +14,7 @@ from dscjscc import model as model_module
 from dscjscc.autodiff import Tensor
 from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.kernels import ShapeError
-from dscjscc.model import (VARIANT_ORDER, VARIANT_PATTERNS, Activation, CodecModel,
+from dscjscc.model import (VARIANT_ORDER, VARIANT_PATTERNS, Activation, ArchitectureSpec, CodecModel,
                            LayerKind, LayerSpec, VariantId, build_variant,
                            build_variant_architecture, default_base_architecture,
                            denormalize_pixels, normalize_pixels)
@@ -22,6 +22,11 @@ from dscjscc.training import Adam, train_step
 from oracles import reshape_to_complex
 
 rng = np.random.default_rng(7)
+
+# An 8x8x3 codec whose enc0 (k9, no padding) maps 8x8 to 0x0, and whose dec4 (k9) maps 0x0 back to 8x8
+COLLAPSED_ENCODER = (LayerSpec(LayerKind.CONV, 3, 4, 9, 1, 0),) + (LayerSpec(LayerKind.CONV, 4, 4, 1, 1, 0),) * 4
+COLLAPSED_DECODER = ((LayerSpec(LayerKind.TCONV, 4, 4, 1, 1, 0, 0),) * 4
+                     + (LayerSpec(LayerKind.TCONV, 4, 3, 9, 1, 0, 0, Activation.SIGMOID),))
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -73,6 +78,10 @@ class TestBaseArchitecture:
         layers[index] = replace(layers[index], **{field: value})
         with pytest.raises(ShapeError, match=message):
             replace(arch, **{side: tuple(layers)})
+
+    def test_layer_output_below_one_pixel_rejected(self):
+        with pytest.raises(ShapeError, match="enc0 maps 8x8 to 0x0"):
+            ArchitectureSpec(COLLAPSED_ENCODER, COLLAPSED_DECODER, (8, 8, 3))
 
 
     @pytest.mark.parametrize("kind, stride, padding, output_padding, message", [
@@ -408,11 +417,21 @@ class TestCodec:
 
     def test_checkpoint_param_shapes_validated(self):
         m = self._model()
-        arrays = {k: t.data for k, t in m.params.items()}
-        bad = dict(arrays)
-        bad["enc0.weight"] = np.zeros((1, 1, 1, 1))
-        with pytest.raises(ShapeError, match="enc0.weight"):
-            CodecModel(m.architecture, params=bad)
+        for key, shape in (("enc0.weight", (1, 1, 1, 1)),
+                           ("enc1.dw_weight", (8, 1, 5, 5)),  # the layer has 16 input channels
+                           ("dec0.weight", (8, 32, 5, 3)),  # taps that are not square
+                           ("enc0.prelu", (15,))):  # one slope per output channel, of 16
+            bad = {k: t.data for k, t in m.params.items()}
+            bad[key] = np.zeros(shape)
+            with pytest.raises(ShapeError, match=f"parameter {key} has shape"):
+                CodecModel(m.architecture, params=bad)
+
+    def test_empty_batch_rejected(self):
+        m = self._model()
+        with pytest.raises(ShapeError, match="with N >= 1"):
+            m.encode(np.zeros((0, 3, 32, 32)))
+        with pytest.raises(ShapeError, match="with N >= 1"):
+            m.decode(np.zeros((0, m.k), dtype=np.complex128))
 
     def test_model_built_from_arrays_owns_copies(self):
         # training a model built from another model's arrays must leave that model as it was

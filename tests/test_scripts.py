@@ -25,7 +25,7 @@ def test_scripts_run_end_to_end(tmp_path):
 
     out = tmp_path / "desk"
     desk = run_script("run_desk_experiment.py", "--size", "16", "--c", "4", "--images", "4",
-                      "--steps", "2", "--out", str(out), cwd=tmp_path)
+                      "--steps", "2", "--out", str(out), "--snr-list=-5,10", cwd=tmp_path)
     assert desk.returncode == 0, desk.stderr
     for name in ("train.json", "eval.json", "loss_history.csv", "sweep.csv", "checkpoint.dscj"):
         assert (out / name).is_file(), name
@@ -50,14 +50,15 @@ _MALFORMED = {
     "--train-snr": ("nan", "train_snr_db must be a number (not NaN)"),
     "--snr-list": ("0,a", "snr_list must be a non-empty list of numbers"),
     "--out": (os.devnull, "File exists"),
+    "--snr-list=-inf": (None, "snr_list -inf has no channel"),  # argparse reads a separate -inf as a flag
 }
 
 
 @pytest.mark.parametrize("flag", _MALFORMED)
 def test_desk_script_rejects_malformed_flag_in_one_line(tmp_path, flag):
     value, message = _MALFORMED[flag]
-    result = run_script("run_desk_experiment.py", "--size", "16", "--c", "4", "--images", "4",
-                        "--steps", "1", "--out", str(tmp_path / "desk"), flag, value, cwd=tmp_path)
+    result = run_script("run_desk_experiment.py", "--size", "16", "--c", "4", "--images", "4", "--steps", "1",
+                        "--out", str(tmp_path / "desk"), flag, *([] if value is None else [value]), cwd=tmp_path)
     assert result.returncode == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], result.stderr
