@@ -17,7 +17,8 @@ def main() -> int:
     for flag, default in (("--size", 32), ("--c", 8), ("--images", 64), ("--steps", 200), ("--seed", 0)):
         ap.add_argument(flag, type=int, default=default)
     ap.add_argument("--train-snr", type=float, default=10.0)
-    ap.add_argument("--snr-list", default="0,5,10,15,19")
+    ap.add_argument("--snr-list", default="0,5,10,15,19",
+                    help="comma-separated SNR points in dB; write a negative first one as --snr-list=-5,10")
     ap.add_argument("--out", type=Path, default=Path("desk_run"))
     args = ap.parse_args()
     # epochs is an upper bound; max_steps does the real stopping

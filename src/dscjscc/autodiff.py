@@ -200,9 +200,12 @@ def power_normalize(x: Tensor, k: int, power: float) -> Tensor:
     """
     if x.data.ndim != 2:
         raise ShapeError(f"power_normalize: expected rank-2 (N, 2k) input, got rank {x.data.ndim}")
-    norms = np.sqrt(np.sum(x.data ** 2, axis=1, keepdims=True))
+    with np.errstate(over="ignore"):  # past about 1e154 the squares overflow; reject that below
+        norms = np.sqrt(np.sum(x.data ** 2, axis=1, keepdims=True))
     if np.any(norms == 0.0):
         raise ValueError("power_normalize: zero-norm input has no direction to preserve")
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("power_normalize: input norm is not finite")
     target = math.sqrt(k * power)
     y = x.data * (target / norms)
 

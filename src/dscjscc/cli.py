@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = sub.add_parser("eval", help="PSNR sweep over SNR points")
     p_ev.add_argument("--config", required=True, help="experiment config (JSON)")
     p_ev.add_argument("--checkpoint", help="checkpoint path (default from config)")
-    p_ev.add_argument("--snr-list", help="comma-separated SNR points in dB")
+    p_ev.add_argument("--snr-list", help="comma-separated SNR points in dB; write a list that starts "
+                      "with a negative SNR as --snr-list=-5,10")
     p_ev.add_argument("--seed", type=int, help="override the master seed")
     p_ev.add_argument("--out", help="override the output directory")
     return parser

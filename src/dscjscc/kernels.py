@@ -326,59 +326,16 @@ def _depthwise_weight_grad(u: np.ndarray, g: np.ndarray, k: int, stride: int, pa
     return _view(prod, (c, 1, k, k, wo), (sc, 0, si, se, so + stride * se)).sum(axis=4)
 
 
-def _forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int, padding: int,
-             output_padding: int | None, depthwise: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run one layer call; returns (y, patches), patches None unless a dense convolution."""
-    k = w.shape[2]
-    if output_padding is None:
-        size = tuple(conv_out_dim(d, k, stride, padding) for d in x.shape[1:3])
-    else:
-        size = tuple(tconv_out_dim(d, k, stride, padding, output_padding) for d in x.shape[1:3])
-    if depthwise:
-        return _depthwise(x, w, b, stride, padding, size, output_padding is not None), None
-    cols = None
-    if output_padding is None:
-        cols = _cols(x, k, stride, padding)
-        y = _conv(cols, w, stride, (*size, x.shape[3]))
-    else:
-        y = _conv_input_adjoint(x, w, stride, padding, size)
-    if b is not None:
-        y += b[:, None, None, None]
-    return y, cols
-
-
 def _channel_sum(gy: np.ndarray) -> np.ndarray:
     return gy.reshape(gy.shape[0], -1).sum(axis=1)
 
 
-def _backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
-              depthwise: bool, cols: np.ndarray | None,
-              input_grad: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    k = w.shape[2]
-    if depthwise:
-        gw = _depthwise_weight_grad(x, gy, k, stride, padding)
-        gx = _depthwise(gy, w, None, stride, padding, x.shape[1:3], True) if input_grad else None
-    else:
-        gw = _conv_weight_grad(_cols(x, k, stride, padding) if cols is None else cols, gy, stride, w.shape)
-        gx = _conv_input_adjoint(gy, w, stride, padding, x.shape[1:3]) if input_grad else None
-    return gx, gw, _channel_sum(gy)
-
-
-def _tbackward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int,
-               depthwise: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the adjoint of the input-adjoint is the convolution itself, read with
-    # the (Cin,Cout,k,k) array as its (Cout',Cin',k,k) kernel, and the kernel
-    # gradient is the convolution's with input and upstream swapped
-    k = w.shape[2]
-    if depthwise:
-        return (_depthwise(gy, w, None, stride, padding, x.shape[1:3], False),
-                _depthwise_weight_grad(gy, x, k, stride, padding), _channel_sum(gy))
-    cols = _cols(gy, k, stride, padding)
-    return _conv(cols, w, stride, x.shape[1:]), _conv_weight_grad(cols, x, stride, w.shape), _channel_sum(gy)
-
-
 # ---------------------------------------------------------------------------
-# the four layer kinds
+# the four layer kinds, each kernel one or two calls of its lowering: a
+# transposed kernel's forward is the input adjoint, and the adjoint of that is
+# the convolution itself, read with the (Cin,Cout,k,k) array as its
+# (Cout',Cin',k,k) kernel; its kernel gradient is the convolution's with input
+# and upstream swapped
 # ---------------------------------------------------------------------------
 
 def conv2d_forward_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -388,7 +345,13 @@ def conv2d_forward_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     The patches are the (rows, C, k, Wo*N) row-shift copy of ``_cols``, or the
     input itself, reshaped, for an unpadded stride-1 1x1 kernel.
     """
-    return _forward(x, w, b, stride, padding, None, False)
+    k = w.shape[2]
+    ho, wo = (conv_out_dim(d, k, stride, padding) for d in x.shape[1:3])
+    cols = _cols(x, k, stride, padding)
+    y = _conv(cols, w, stride, (ho, wo, x.shape[3]))
+    if b is not None:
+        y += b[:, None, None, None]
+    return y, cols
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
@@ -398,37 +361,52 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
 
     gx is None, and not computed, when ``input_grad`` is false.
     """
-    return _backward(x, w, gy, stride, padding, False, col, input_grad)
+    gw = _conv_weight_grad(_cols(x, w.shape[2], stride, padding) if col is None else col, gy, stride, w.shape)
+    gx = _conv_input_adjoint(gy, w, stride, padding, x.shape[1:3]) if input_grad else None
+    return gx, gw, _channel_sum(gy)
 
 
 def depthwise_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                              stride: int, padding: int) -> np.ndarray:
-    return _forward(x, w, b, stride, padding, None, True)[0]
+    k = w.shape[2]
+    size = tuple(conv_out_dim(d, k, stride, padding) for d in x.shape[1:3])
+    return _depthwise(x, w, b, stride, padding, size, False)
 
 
 def depthwise_conv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride: int, padding: int, *,
                               input_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    return _backward(x, w, gy, stride, padding, True, None, input_grad)
+    gw = _depthwise_weight_grad(x, gy, w.shape[2], stride, padding)
+    gx = _depthwise(gy, w, None, stride, padding, x.shape[1:3], True) if input_grad else None
+    return gx, gw, _channel_sum(gy)
 
 
 def tconv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                     stride: int, padding: int, output_padding: int) -> np.ndarray:
-    return _forward(x, w, b, stride, padding, output_padding, False)[0]
+    k = w.shape[2]
+    size = tuple(tconv_out_dim(d, k, stride, padding, output_padding) for d in x.shape[1:3])
+    y = _conv_input_adjoint(x, w, stride, padding, size)
+    if b is not None:
+        y += b[:, None, None, None]
+    return y
 
 
 def tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
                      stride: int, padding: int, output_padding: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _tbackward(x, w, gy, stride, padding, False)
+    cols = _cols(gy, w.shape[2], stride, padding)
+    return _conv(cols, w, stride, x.shape[1:]), _conv_weight_grad(cols, x, stride, w.shape), _channel_sum(gy)
 
 
 def depthwise_tconv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                               stride: int, padding: int, output_padding: int) -> np.ndarray:
-    return _forward(x, w, b, stride, padding, output_padding, True)[0]
+    k = w.shape[2]
+    size = tuple(tconv_out_dim(d, k, stride, padding, output_padding) for d in x.shape[1:3])
+    return _depthwise(x, w, b, stride, padding, size, True)
 
 
 def depthwise_tconv2d_backward(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
                                stride: int, padding: int, output_padding: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _tbackward(x, w, gy, stride, padding, True)
+    return (_depthwise(gy, w, None, stride, padding, x.shape[1:3], False),
+            _depthwise_weight_grad(gy, x, w.shape[2], stride, padding), _channel_sum(gy))
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,27 @@ class TestTampering:
         with pytest.raises(CheckpointError, match=f"'{key}' .* but the layers give"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h["architecture"]["encoder"].__setitem__(1, 5),
+         "encoder layer 1 must be a JSON object, got int"),
+        (lambda h: h["architecture"]["decoder"][0].update(output_padding=None),
+         "TConv layer requires output_padding"),
+        (lambda h: h["architecture"]["encoder"][0].update(output_padding=0),
+         "Conv layer must not carry output_padding"),
+        (lambda h: h["architecture"]["encoder"].pop(), r"architecture must have 5\+5 layers, got 4\+5"),
+        (lambda h: h["architecture"]["decoder"][0].update(kind="Conv", output_padding=None),
+         "dec0 layer kind Conv invalid"),
+        (lambda h: h["architecture"]["decoder"][4].update(output_padding=0),
+         "decoder maps latent back to 15x15, expected 16x16"),
+    ], ids=["layer-not-an-object", "tconv-without-output-padding", "conv-with-output-padding",
+            "four-encoder-layers", "conv-in-decoder", "decoder-misses-input-size"])
+    def test_layers_that_make_no_codec_rejected(self, small_model, tmp_path, edit, message):
+        p = tmp_path / "m.dscj"
+        save_checkpoint(small_model, p)
+        rewrite_header(p, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(p)
+
     def test_codec_with_a_layer_output_below_one_pixel_rejected(self, tmp_path):
         p = tmp_path / "collapsed.dscj"
         save_collapsed_codec(p)

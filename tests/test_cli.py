@@ -378,6 +378,30 @@ class TestTrainEvalCommands:
         assert code == 1
         assert err.startswith(f"error: {ckpt}: enc0 maps 8x8 to 0x0") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"c": 4,', "is not valid JSON"),
+        ('[{"c": 4}]', "config root must be a JSON object"),
+        (json.dumps({k: v for k, v in VALID_CONFIG.items() if k != "dataset"}), "config has no dataset section"),
+    ], ids=["invalid-json", "root-not-an-object", "no-dataset-section"])
+    def test_config_file_that_gives_no_run_nonzero_exit(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_encoder_output_whose_norm_overflows_nonzero_exit(self, capsys, tmp_path):
+        # at this rate Adam sends the encoder output past 1e154 within a few steps, and its square overflows
+        cfg = {"variant": "baseline", "input_size": "16x16x3", "c": 4, "learning_rate": 1e20,
+               "dataset": {"synthetic": {"count": 8}}, "out_dir": str(tmp_path / "run")}
+        path = tmp_path / "lr.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "train", "--config", str(path))
+        assert code == 1
+        assert err == "error: power_normalize: input norm is not finite\n"
+        assert not (tmp_path / "run" / "checkpoint.dscj").exists()
+
     def test_training_error_nonzero_exit(self, capsys, desk_config, monkeypatch):
         def diverge(*_args):
             raise TrainingError("non-finite loss nan at step 0")

@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import inspect
 import sys
 import tracemalloc
 from pathlib import Path
@@ -584,6 +585,33 @@ def test_input_gradient_can_be_skipped(depthwise):
     np.testing.assert_array_equal(skipped[2], gb)
 
 
+# each kernel's parameters, keyword-only ones after "*": perfbench's tracer reads the
+# weight as args[1], gy as args[2] (its bwd_out rule) and x as args[0], by position
+KERNEL_PARAMETERS = {
+    "conv2d_forward_cached": "x w b stride padding",
+    "conv2d_backward": "x w gy stride padding col * input_grad",
+    "depthwise_conv2d_forward": "x w b stride padding",
+    "depthwise_conv2d_backward": "x w gy stride padding * input_grad",
+    "tconv2d_forward": "x w b stride padding output_padding",
+    "tconv2d_backward": "x w gy stride padding output_padding",
+    "depthwise_tconv2d_forward": "x w b stride padding output_padding",
+    "depthwise_tconv2d_backward": "x w gy stride padding output_padding",
+    "prelu_forward": "x slopes",
+    "prelu_backward": "x slopes gy",
+    "sigmoid_forward": "x",
+    "sigmoid_backward": "y gy",
+}
+
+
+def _parameters(fn) -> str:
+    names = []
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is p.KEYWORD_ONLY and "*" not in names:
+            names.append("*")
+        names.append(p.name)
+    return " ".join(names)
+
+
 def test_benchmark_kernel_names_exist(monkeypatch):
     # perfbench/ looks kernels and its other hooks up by name; a rename must fail here, not as a crashed benchmark
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -593,6 +621,7 @@ def test_benchmark_kernel_names_exist(monkeypatch):
     spec.loader.exec_module(tracer)
     missing = [name for name in tracer.KERNEL_OPS if not callable(getattr(kernels, name, None))]
     assert tracer.KERNEL_OPS and not missing, f"kernels.py lacks {missing}"
+    assert {name: _parameters(getattr(kernels, name)) for name in tracer.KERNEL_OPS} == KERNEL_PARAMETERS
     hooks = tracer.Tracer()
     try:
         hooks.install(dscjscc)

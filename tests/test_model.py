@@ -257,6 +257,14 @@ class TestPowerNormalize:
         with pytest.raises(ValueError, match="zero-norm"):
             _power_normalize(z, 4, 1.0)
 
+    def test_encoder_output_whose_norm_overflows_rejected(self):
+        # past about 1e154 the squared norm overflows: the symbols would be scaled to zero power
+        arch = build_variant_architecture(VariantId.R60_E2D2, (16, 16, 3), 4)
+        m = CodecModel(arch, variant=VariantId.R60_E2D2, seed=3)
+        m.params["enc4.weight"].data *= 1e160
+        with pytest.raises(ValueError, match="input norm is not finite"):
+            m.encode(rng.uniform(0, 255, size=(2, 3, 16, 16)))
+
     @given(st.integers(2, 10), st.floats(0.1, 10.0))
     @settings(max_examples=30)
     def test_norm_contract_property(self, k, p):
@@ -425,6 +433,13 @@ class TestCodec:
             bad[key] = np.zeros(shape)
             with pytest.raises(ShapeError, match=f"parameter {key} has shape"):
                 CodecModel(m.architecture, params=bad)
+
+    def test_checkpoint_with_an_unknown_parameter_rejected(self):
+        m = self._model()
+        extra = {k: t.data for k, t in m.params.items()}
+        extra["enc5.weight"] = np.zeros((1, 1, 1, 1))
+        with pytest.raises(ShapeError, match=r"unknown parameters: \['enc5.weight'\]"):
+            CodecModel(m.architecture, params=extra)
 
     def test_empty_batch_rejected(self):
         m = self._model()

@@ -11,7 +11,7 @@ from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.data import synthetic_dataset
 from dscjscc.kernels import ShapeError
 from dscjscc.model import CodecModel, VariantId, build_variant_architecture
-from dscjscc.training import Adam, TrainConfig, history_to_csv, train, train_step
+from dscjscc.training import Adam, TrainConfig, TrainingError, history_to_csv, train, train_step
 from oracles import smoothed_endpoints
 
 
@@ -127,6 +127,12 @@ class TestTrainLoop:
         result = train(*_desk_setup(steps=2))
         for r in result.history:
             assert r.loss_sample_sum == pytest.approx(r.loss * 3 * 16 * 16, rel=1e-12)
+
+    def test_non_finite_loss_rejected(self):
+        model, data, cfg, channel = _desk_setup(steps=3)
+        model.params["dec4.pw_weight"].data[0, 0, 0, 0] = math.nan
+        with pytest.raises(TrainingError, match="non-finite loss nan at step 1 "):
+            train(model, data, cfg, channel)
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
