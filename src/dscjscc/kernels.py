@@ -49,16 +49,17 @@ Ma et al., arXiv:1807.11164), and a k-fold copy of the input costs more than
 the multiplies it feeds (Zhang, Lo & Lu, arXiv:2001.02504).  So the depthwise
 lowering (``_depthwise``) makes no such copy.  In the (C, H, W, N) layout the
 k input rows an output row reads are one contiguous (k*W, N) slab of the
-row-padded input, so each channel's output row is that slab, transposed,
-times a per-channel Toeplitz matrix T of shape (k*W, Wo) that holds the taps
-and the column padding; a transposed convolution does the same for a tile of
-``stride`` output rows and the L input rows they read.  Every channel and
-tile goes through one batched ``matmul``, and every input adjoint is the
-other direction's lowering.  With T the GEMM does W/k times the useful
-multiply-adds, the rest by zeros, and is still faster than copying the input
-k times.  The weight gradient (``_depthwise_weight_grad``) copies the input
-once, padded, into row-parity planes, so that one GEMM per parity sums over
-rows and batch at once.
+input and the output row one (Wo, N) block, so each channel's output row is
+a per-channel (Wo, k*W) Toeplitz matrix of the taps and the column padding
+times that slab, written in place; a transposed convolution does the same
+for a tile of ``stride`` output rows and the L input rows they read.  An
+edge tile takes only its rows inside the input, so nothing is padded.  The
+interior tiles are one batched ``matmul``, each edge tile another, and every
+input adjoint is the other direction's lowering.  The GEMM does W/k times
+the useful multiply-adds, the rest by zeros, and is still faster than
+copying the input k times.  The weight gradient (``_depthwise_weight_grad``)
+copies the input once, padded, into row-parity planes, so one GEMM per
+parity sums over rows and batch at once.
 """
 
 from __future__ import annotations
@@ -256,15 +257,18 @@ def _depthwise(u: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int, 
     """The depthwise convolution, or transposed convolution, of the (C, H, W, N) ``u`` to (C, *size, N), plus ``b``.
 
     Output rows go in tiles, each reading a window of consecutive input rows
-    that is one contiguous (rows*W, N) slab of the row-padded input: a tile
-    is one output row and its k input rows for a convolution, ``stride``
-    output rows and the L they read for a transposed one.  A tile is then
-    one GEMM per channel, its window times the tile's Toeplitz matrix T, so
-    no k-fold copy of the input is made.  The batch is the GEMM's rows, so a
-    batch row comes out the same whatever the batch (with the batch as its
-    columns, OpenBLAS's sums differ in the last bits below 8 columns).  GEMV
-    sums differ too, so a batch of 1 gets a zero second row and a 1-wide
-    output a second column, dropped after.
+    that is one contiguous (rows*W, N) slab: a tile is one output row and
+    its k input rows for a convolution, ``stride`` output rows and the L
+    they read for a transposed one.  A tile is one GEMM per channel, the
+    tile's Toeplitz matrix T, transposed, times its slab, written straight
+    into the tile's (th*Wo, N) block of the output.  The slab is ``u`` in
+    place: a tile at an edge, whose window holds padding rows, takes just
+    its rows inside ``u`` and the matching rows of T, as the padding would
+    only add zeros, so no padded copy is made.  The batch is the GEMM's
+    columns: that a batch column comes out the same in any batch is
+    OpenBLAS's doing, not the layout's, and the row-independence tests check
+    it.  GEMV sums differ from GEMM's, so a batch of 1 gets a zero second
+    column and a 1-wide output a second one, dropped after.
     """
     c, h, wi, n = u.shape
     k = w.shape[2]
@@ -277,21 +281,25 @@ def _depthwise(u: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int, 
         r0, th, step, rows, tiles = -padding, 1, stride, k, ho
         row_taps, col_taps = (0, 1, 0), (-stride, 1, padding)
     nn, wt = max(n, 2), max(wo, 2)  # numpy hands a 1-row or 1-column GEMM to GEMV
-    padded = np.zeros((c, step * (tiles - 1) + rows, wi, nn), dtype=u.dtype)
-    r1, r2 = max(0, -r0), min(padded.shape[1], h - r0)  # the padded rows that hold input rows
-    if r1 < r2:
-        padded[:, r1:r2, :, :n] = u[:, r0 + r1:r0 + r2]
-    sc, sr, _, se = padded.strides
-    windows = _view(padded, (c, tiles, nn, rows * wi), (sc, step * sr, se, nn * se))
-    prod = windows @ _toeplitz(w, th, rows, row_taps, wt, wi, col_taps)[:, None]  # (C, tiles, N, th*Wo)
-    del padded, windows  # so that the call peaks at the product and the output, not the input copy too
-    y = np.empty((c, tiles * th, wo, n), dtype=prod.dtype)
-    rows_of_y = prod[:, :, :n].reshape(c, tiles, n, th, wt)[..., :wo].transpose(0, 1, 3, 4, 2)
-    if b is None:
-        np.copyto(y.reshape(c, tiles, th, wo, n), rows_of_y)
-    else:
-        np.add(rows_of_y, b[:, None, None, None, None], out=y.reshape(c, tiles, th, wo, n))
-    return y if tiles * th == ho else y[:, :ho].copy()
+    if nn > n or not u.flags.c_contiguous:  # the tiles read u in place: C order, and two columns at least
+        u, x = np.zeros((c, h, wi, nn), dtype=u.dtype), u
+        u[..., :n] = x
+    # T as a transposed view: with T's transpose in memory, a batch column's sums varied with the batch
+    tt = _toeplitz(w, th, rows, row_taps, wt, wi, col_taps)[:, None].swapaxes(2, 3)  # (C, 1, th*Wt, rows*Wi)
+    y = np.empty((c, tiles * th, wt, nn), dtype=np.result_type(u, w))
+    t0 = min(tiles, max(0, -(r0 // step)))  # tiles t0 .. t1 - 1 read rows of u alone
+    t1 = min(tiles, max(t0, (h - rows - r0) // step + 1))
+    sc, sr, _, se = u.strides
+    for a, z in [(t0, t1)] + [(t, t + 1) for t in (*range(t0), *range(t1, tiles))]:  # the interior, each edge tile
+        lo = step * a + r0
+        r1, r2 = (min(max(r, 0), h) for r in (lo, lo + rows))  # the tile's rows inside u, all of them in the interior
+        slab = _view(u, (c, z - a, (r2 - r1) * wi, nn), (sc, step * sr, nn * se, se), r1 * wi * nn)
+        np.matmul(tt[..., (r1 - lo) * wi:(r2 - lo) * wi], slab, out=y.reshape(c, tiles, th * wt, nn)[:, a:z])
+    if y.shape[1:] != (ho, wo, n):
+        y = y[:, :ho, :wo, :n].copy()
+    if b is not None:
+        y += b[:, None, None, None]
+    return y
 
 
 def _depthwise_weight_grad(u: np.ndarray, g: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:

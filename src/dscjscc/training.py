@@ -120,7 +120,10 @@ def train(model: CodecModel, data: Dataset, cfg: TrainConfig,
             # canonical row order inside the batch keeps losses bitwise
             # reproducible regardless of how the permutation lands
             batch = data.images[np.sort(order[start:start + cfg.batch_size])]
-            record = train_step(model, batch, channel, optimizer)
+            try:
+                record = train_step(model, batch, channel, optimizer)
+            except ValueError as e:  # power_normalize's non-finite or zero norm: the encoder diverged
+                raise TrainingError(f"{e} at step {step + 1} (epoch {epoch + 1}, lr {cfg.learning_rate})") from e
             step += 1
             record = StepRecord(step, epoch + 1, record.loss, record.loss_sample_sum)
             if not np.isfinite(record.loss):

@@ -399,7 +399,7 @@ class TestTrainEvalCommands:
         path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "train", "--config", str(path))
         assert code == 1
-        assert err == "error: power_normalize: input norm is not finite\n"
+        assert err == "error: power_normalize: input norm is not finite at step 2 (epoch 2, lr 1e+20)\n"
         assert not (tmp_path / "run" / "checkpoint.dscj").exists()
 
     def test_training_error_nonzero_exit(self, capsys, desk_config, monkeypatch):

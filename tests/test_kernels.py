@@ -434,8 +434,9 @@ _ROW_CASES = [(3, 9, 5, 2, 2), (4, 8, 5, 1, 2), (2, 7, 3, 3, 1), (3, 6, 2, 4, 0)
 def _check_rows_independent(depthwise, c, h, k, s, p):
     # both lowerings run the batch inside their GEMMs; each batch row of the
     # forward and input gradient of both kinds must come out as if run alone,
-    # and bit for bit for the depthwise kind, whose GEMMs take the batch as
-    # their rows (a batch-1 decode must equal its row of a 16-row one)
+    # and bit for bit for the depthwise kind (a batch-1 decode must equal its
+    # row of a 16-row one); its GEMMs take the batch as their columns, so
+    # this measures what the BLAS does with them, not a property of the layout
     n, cout = 5, c if depthwise else c + 1
     r = _example_rng(c, h, k, s, p)
     x = r.standard_normal((c, h, h, n))
@@ -485,6 +486,8 @@ def test_dense_kernels_are_row_independent(c, h, k, s, p):
 @example(n=1, c=3, h=12, wd=4, k=3, s=3, p=4)  # taller than wide, padding >= k
 @example(n=2, c=1, h=2, wd=7, k=4, s=4, p=1)  # stride above the height
 @example(n=2, c=1, h=3, wd=5, k=1, s=8, p=2)  # the one output row reads padding only
+@example(n=2, c=2, h=3, wd=6, k=5, s=1, p=2)  # h < k: every tile reads padding rows
+@example(n=3, c=2, h=7, wd=5, k=3, s=1, p=0)  # p = 0, s = 1: every forward tile reads input rows alone
 def test_depthwise_kernels_match_dense_on_non_square_inputs(n, c, h, wd, k, s, p):
     # the Toeplitz matrices depend on the width and the row padding on the
     # height, so H != W here; every op of the kind, gw included, against the
@@ -534,6 +537,24 @@ def test_depthwise_backward_makes_no_k_fold_copy():
     finally:
         tracemalloc.stop()
     assert peak < rows * k * h * n * c * x.itemsize
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_depthwise_forward_reads_its_input_in_place(s):
+    # every tile reads its rows of the input in place, an edge tile only those inside it, so one
+    # batch-8 forward, output included, peaks below the input's bytes plus the output's
+    c, h, n, k, p = 16, 32, 8, 5, 2
+    x = rng.standard_normal((c, h, h, n))
+    w = rng.standard_normal((c, 1, k, k))
+    b = rng.standard_normal(c)
+    ho = conv_out_dim(h, k, s, p)
+    tracemalloc.start()
+    try:
+        kernels.depthwise_conv2d_forward(x, w, b, s, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + c * ho * ho * n * x.itemsize
 
 
 @pytest.mark.parametrize("k, s, p", [(5, 2, 2), (5, 1, 2), (3, 3, 1), (2, 1, 0), (1, 2, 0)])

@@ -134,6 +134,16 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match="non-finite loss nan at step 1 "):
             train(model, data, cfg, channel)
 
+    def test_encoder_norm_that_overflows_names_its_step(self):
+        # at lr 1e20 the first Adam step sends the encoder output past 1e154, so step 1 completes
+        # and power_normalize fails in step 2; the error names it, as a non-finite loss's does
+        assert len(train(*_desk_setup(steps=1, lr=1e20)).history) == 1
+        model, data, cfg, channel = _desk_setup(steps=3, lr=1e20)
+        with pytest.raises(TrainingError, match=r"^power_normalize: input norm is not finite "
+                                                r"at step 2 \(epoch 1, lr 1e\+20\)$") as exc:
+            train(model, data, cfg, channel)
+        assert isinstance(exc.value.__cause__, ValueError)
+
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
