@@ -114,24 +114,27 @@ def train(model: CodecModel, data: Dataset, cfg: TrainConfig,
     optimizer = Adam(model.params, lr=cfg.learning_rate)
     result = TrainResult()
     step = 0
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(data))
-        for start in range(0, len(data), cfg.batch_size):
-            # canonical row order inside the batch keeps losses bitwise
-            # reproducible regardless of how the permutation lands
-            batch = data.images[np.sort(order[start:start + cfg.batch_size])]
-            try:
-                record = train_step(model, batch, channel, optimizer)
-            except ValueError as e:  # power_normalize's non-finite or zero norm: the encoder diverged
-                raise TrainingError(f"{e} at step {step + 1} (epoch {epoch + 1}, lr {cfg.learning_rate})") from e
-            step += 1
-            record = StepRecord(step, epoch + 1, record.loss, record.loss_sample_sum)
-            if not np.isfinite(record.loss):
-                raise TrainingError(f"non-finite loss {record.loss} at step {step} "
-                                    f"(epoch {epoch + 1}, lr {cfg.learning_rate})")
-            result.history.append(record)
-            if cfg.max_steps is not None and step >= cfg.max_steps:
-                return result
+    # a diverging step overflows on its way to a non-finite norm or loss, which the checks below
+    # report as one TrainingError; numpy's warnings would only come first, once per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(data))
+            for start in range(0, len(data), cfg.batch_size):
+                # canonical row order inside the batch keeps losses bitwise
+                # reproducible regardless of how the permutation lands
+                batch = data.images[np.sort(order[start:start + cfg.batch_size])]
+                try:
+                    record = train_step(model, batch, channel, optimizer)
+                except ValueError as e:  # power_normalize's non-finite or zero norm: the encoder diverged
+                    raise TrainingError(f"{e} at step {step + 1} (epoch {epoch + 1}, lr {cfg.learning_rate})") from e
+                step += 1
+                record = StepRecord(step, epoch + 1, record.loss, record.loss_sample_sum)
+                if not np.isfinite(record.loss):
+                    raise TrainingError(f"non-finite loss {record.loss} at step {step} "
+                                        f"(epoch {epoch + 1}, lr {cfg.learning_rate})")
+                result.history.append(record)
+                if cfg.max_steps is not None and step >= cfg.max_steps:
+                    return result
     return result
 
 

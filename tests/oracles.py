@@ -65,6 +65,26 @@ def naive_tconv2d(x, w, b, stride, padding, output_padding):
     return y
 
 
+def naive_depthwise_weight_grad(u, g, k, stride, padding):
+    """Kernel gradient of a depthwise conv, one tap at a time, on (N, C, H, W) arrays.
+
+    gw[c, 0, i, j] = sum over n, r, o of g[n, c, r, o] * u[n, c, s*r + i - p, s*o + j - p], u zero
+    outside: ``u`` is the conv's input and ``g`` its output's gradient.  A depthwise transposed conv
+    with input x and output gradient gy has the kernel gradient of u = gy and g = x, as each of its
+    taps (i, j) adds x[r, o] * w[i, j] to output (s*r + i - p, s*o + j - p).
+    """
+    n, c, h, wd = u.shape
+    ho, wo = g.shape[2:]
+    up = np.zeros((n, c, h + 2 * padding, wd + 2 * padding))
+    up[:, :, padding:padding + h, padding:padding + wd] = u
+    gw = np.zeros((c, 1, k, k))
+    for i in range(k):
+        for j in range(k):
+            window = up[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
+            gw[:, 0, i, j] = np.sum(g * window, axis=(0, 2, 3))
+    return gw
+
+
 def block_diagonal_kernel(w_depthwise):
     """Embed a (C,1,K,K) depthwise kernel into a grouped (C,C,K,K) standard kernel."""
     c, _, k, _ = w_depthwise.shape

@@ -26,6 +26,12 @@ VALID_CONFIG = {"variant": "baseline", "input_size": "16x16x3", "c": 4, "max_ste
                 "dataset": {"synthetic": {"count": 4}}}
 
 
+def _checkout_env():
+    """The environment for a child Python process that imports this checkout's dscjscc first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -402,6 +408,21 @@ class TestTrainEvalCommands:
         assert err == "error: power_normalize: input norm is not finite at step 2 (epoch 2, lr 1e+20)\n"
         assert not (tmp_path / "run" / "checkpoint.dscj").exists()
 
+    def test_diverging_run_prints_only_its_error_line(self, tmp_path):
+        # at lr 1e30 matmuls overflow before the encoder's norm turns non-finite; run in a process of
+        # its own, under Python's default warning filters, stderr must hold the one error line alone
+        cfg = {"variant": "dsc-jscc-100", "input_size": "16x16x3", "c": 4, "learning_rate": 1e30,
+               "batch_size": 8, "dataset": {"synthetic": {"count": 8, "seed": 3}}, "seed": 1,
+               "out_dir": str(tmp_path / "run")}
+        path = tmp_path / "lr.json"
+        path.write_text(json.dumps(cfg))
+        env = _checkout_env()
+        env.pop("PYTHONWARNINGS", None)
+        run = subprocess.run([sys.executable, "-m", "dscjscc.cli", "train", "--config", str(path)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert run.stderr == "error: power_normalize: input norm is not finite at step 2 (epoch 2, lr 1e+30)\n"
+
     def test_training_error_nonzero_exit(self, capsys, desk_config, monkeypatch):
         def diverge(*_args):
             raise TrainingError("non-finite loss nan at step 0")
@@ -477,7 +498,5 @@ def test_main_keeps_freed_memory_for_reuse():
         faults()
         print(faults())
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True, check=True)
     assert int(out.stdout) < 128  # 2 MiB of fresh 4 KiB pages is 512 faults

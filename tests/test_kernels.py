@@ -17,7 +17,7 @@ from dscjscc import autodiff as ad
 from dscjscc import kernels
 from dscjscc.autodiff import Tensor
 from dscjscc.kernels import ShapeError, conv_out_dim, sigmoid_forward, tconv_out_dim
-from oracles import block_diagonal_kernel, naive_conv2d, naive_tconv2d
+from oracles import block_diagonal_kernel, naive_conv2d, naive_depthwise_weight_grad, naive_tconv2d
 
 rng = np.random.default_rng(1234)
 
@@ -537,6 +537,51 @@ def test_depthwise_backward_makes_no_k_fold_copy():
     finally:
         tracemalloc.stop()
     assert peak < rows * k * h * n * c * x.itemsize
+
+
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 11), st.integers(1, 11), st.integers(1, 5),
+       st.integers(1, 4), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+@example(n=2, c=2, h=3, wd=7, k=3, s=1, p=0)  # Ho = 1: one band of one row
+@example(n=1, c=3, h=7, wd=10, k=3, s=1, p=1)  # Ho = 7, not a multiple of the band: g gets a zero row
+@example(n=3, c=2, h=5, wd=9, k=3, s=2, p=0)  # Ho = 2, below the band height
+@example(n=2, c=1, h=9, wd=11, k=2, s=4, p=1)  # stride above k: two phase planes for a stride of 4
+@example(n=2, c=2, h=4, wd=6, k=2, s=1, p=3)  # padding >= k: whole slab rows and columns of zeros
+@example(n=2, c=4, h=6, wd=1, k=3, s=1, p=1)  # width 1
+def test_depthwise_weight_gradients_match_tap_oracle(n, c, h, wd, k, s, p):
+    # the kernel gradient of both depthwise kinds, against a loop over the taps
+    r = _example_rng(n, c, h, wd, k, s, p)
+    x = r.standard_normal((n, c, h, wd))
+    w = r.standard_normal((c, 1, k, k))
+    ho, wo = conv_out_dim(h, k, s, p), conv_out_dim(wd, k, s, p)
+    if min(ho, wo) >= 1:
+        gy = r.standard_normal((n, c, ho, wo))
+        gw = depthwise_conv2d_backward(x, w, gy, s, p)[1]
+        np.testing.assert_allclose(gw, naive_depthwise_weight_grad(x, gy, k, s, p), atol=1e-12)
+        assert gw.flags.c_contiguous
+    for opad in range(s):
+        dh, dw = (tconv_out_dim(d, k, s, p, opad) for d in (h, wd))
+        if min(dh, dw) >= 1:
+            gy = r.standard_normal((n, c, dh, dw))
+            gw = depthwise_tconv2d_backward(x, w, gy, s, p, opad)[1]
+            np.testing.assert_allclose(gw, naive_depthwise_weight_grad(gy, x, k, s, p), atol=1e-12)
+
+
+def test_depthwise_weight_gradient_copies_only_its_input():
+    # the kernel gradient reads gy in place and copies only the input, zero-padded, into its phase
+    # planes: one batch-32 call peaks below that copy plus half of gy's bytes (1.28 MB against a
+    # bound of 1.44 MB), where a transposed copy of gy, as an earlier lowering made, peaked at 1.84 MB
+    c, h, n, k, p = 32, 8, 32, 5, 2
+    x = rng.standard_normal((c, h, h, n))
+    w = rng.standard_normal((c, 1, k, k))
+    gy = rng.standard_normal((c, h, h, n))
+    tracemalloc.start()
+    try:
+        kernels.depthwise_conv2d_backward(x, w, gy, 1, p, input_grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (h + 2 * p) ** 2 * c * n * x.itemsize + gy.nbytes // 2
 
 
 @pytest.mark.parametrize("s", [1, 2])
