@@ -145,17 +145,29 @@ class ArchitectureSpec:
 
 
 class VariantId(Enum):
-    BASELINE = "baseline"
-    R20 = "dsc-jscc-20"
-    R40 = "dsc-jscc-40"
-    R60_E1D1 = "dsc-jscc-60-e1d1"
-    R60_E2D1 = "dsc-jscc-60-e2d1"
-    R60_E2D2 = "dsc-jscc-60-e2d2"
-    R60_E2D3 = "dsc-jscc-60-e2d3"
-    R60_E1D2 = "dsc-jscc-60-e1d2"
-    R60_E3D2 = "dsc-jscc-60-e3d2"
-    R80 = "dsc-jscc-80"
-    R100 = "dsc-jscc-100"
+    """The paper's eleven codecs.  ``masks`` holds each one's (encoder, decoder)
+    masks, one character per layer: D depthwise-separable, C standard.  Members
+    are declared in the complexity table's order (baseline, ratio sweep to 60,
+    position sweep, high ratios); ``VARIANT_ORDER`` and the table rely on it.
+    """
+
+    BASELINE = "baseline", "CCCCC", "CCCCC"
+    R20 = "dsc-jscc-20", "DCCCC", "DCCCC"
+    R40 = "dsc-jscc-40", "DDCCC", "DDCCC"
+    R60_E1D1 = "dsc-jscc-60-e1d1", "DDDCC", "DDDCC"
+    R60_E2D1 = "dsc-jscc-60-e2d1", "CDDDC", "DDDCC"
+    R60_E2D2 = "dsc-jscc-60-e2d2", "CDDDC", "CDDDC"
+    R60_E2D3 = "dsc-jscc-60-e2d3", "CDDDC", "CCDDD"
+    R60_E1D2 = "dsc-jscc-60-e1d2", "DDDCC", "CDDDC"
+    R60_E3D2 = "dsc-jscc-60-e3d2", "CCDDD", "CDDDC"
+    R80 = "dsc-jscc-80", "DDDDC", "DDDDC"
+    R100 = "dsc-jscc-100", "DDDDD", "DDDDD"
+
+    def __new__(cls, name: str, enc_mask: str, dec_mask: str) -> "VariantId":
+        member = object.__new__(cls)
+        member._value_ = name
+        member.masks = (enc_mask, dec_mask)
+        return member
 
     @classmethod
     def from_name(cls, name: str) -> "VariantId":
@@ -166,24 +178,6 @@ class VariantId(Enum):
                          + ", ".join(v.value for v in cls))
 
 
-# Which encoder/decoder layers are separable in each variant, as 5-char masks
-# (D = separable, C = standard).
-VARIANT_PATTERNS: dict[VariantId, tuple[str, str]] = {
-    VariantId.BASELINE: ("CCCCC", "CCCCC"),
-    VariantId.R20: ("DCCCC", "DCCCC"),
-    VariantId.R40: ("DDCCC", "DDCCC"),
-    VariantId.R60_E1D1: ("DDDCC", "DDDCC"),
-    VariantId.R60_E2D1: ("CDDDC", "DDDCC"),
-    VariantId.R60_E2D2: ("CDDDC", "CDDDC"),
-    VariantId.R60_E2D3: ("CDDDC", "CCDDD"),
-    VariantId.R60_E1D2: ("DDDCC", "CDDDC"),
-    VariantId.R60_E3D2: ("CCDDD", "CDDDC"),
-    VariantId.R80: ("DDDDC", "DDDDC"),
-    VariantId.R100: ("DDDDD", "DDDDD"),
-}
-
-# Listing order mirrors the complexity table: baseline, ratio sweep up to 60,
-# position sweep, then the high ratios; VariantId is declared in that order.
 VARIANT_ORDER = tuple(VariantId)
 
 
@@ -220,12 +214,10 @@ def default_base_architecture(input_shape: tuple[int, int, int] = (256, 256, 3),
 
 
 def build_variant(variant: VariantId, base: ArchitectureSpec) -> ArchitectureSpec:
-    """Rewrite layer kinds per the variant pattern; everything else is untouched."""
-    if variant not in VARIANT_PATTERNS:
-        raise ValueError(f"unknown variant {variant!r}")
+    """Rewrite layer kinds per the variant's masks; everything else is untouched."""
     if any(layer.kind.is_separable for layer in base.encoder + base.decoder):
         raise ShapeError("build_variant requires an all-standard base architecture")
-    enc_mask, dec_mask = VARIANT_PATTERNS[variant]
+    enc_mask, dec_mask = variant.masks
     enc = tuple(replace(l, kind=LayerKind.DSCONV) if m == "D" else l
                 for l, m in zip(base.encoder, enc_mask))
     dec = tuple(replace(l, kind=LayerKind.DSTCONV) if m == "D" else l
@@ -330,8 +322,8 @@ class CodecModel:
         if variant is not None:
             masks = tuple("".join("D" if layer.kind.is_separable else "C" for layer in side)
                           for side in (architecture.encoder, architecture.decoder))
-            if masks != VARIANT_PATTERNS[variant]:
-                raise ShapeError(f"'variant' {variant.value} calls for {'/'.join(VARIANT_PATTERNS[variant])}"
+            if masks != variant.masks:
+                raise ShapeError(f"'variant' {variant.value} calls for {'/'.join(variant.masks)}"
                                  f" layers, but the layers give {'/'.join(masks)}")
         self.architecture = architecture
         self.variant = variant

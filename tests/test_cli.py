@@ -75,10 +75,13 @@ class TestAnalyzeCommand:
         _, out2, _ = run_cli(capsys, "analyze", "--all")
         assert out1 == out2
 
-    def test_compare_reductions(self, capsys):
-        _, out, _ = run_cli(capsys, "analyze", "--variant", "baseline",
-                            "--compare", "dsc-jscc-60-e1d1")
-        assert "params -62.7%, flops -46.0%" in out
+    @pytest.mark.parametrize("pair, reduction", [
+        (("baseline", "dsc-jscc-60-e1d1"), "params -62.7%, flops -46.0%"),
+        (("dsc-jscc-60-e1d1", "dsc-jscc-60-e2d2"), "params -52.6%, flops -54.2%"),
+    ], ids=["baseline-e1d1", "e1d1-e2d2"])
+    def test_compare_reductions(self, capsys, pair, reduction):
+        _, out, _ = run_cli(capsys, "analyze", "--variant", pair[0], "--compare", pair[1])
+        assert f"{pair[0]} -> {pair[1]}: {reduction}\n" in out
 
     def test_csv_output(self, capsys, tmp_path):
         dest = tmp_path / "table.csv"
@@ -93,6 +96,11 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--variant", "dsc-jscc-999", *extra)
         assert code == 1
         assert "unknown variant" in err
+
+    def test_malformed_input_size_fails_in_one_line(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--input", "256x256")
+        assert code == 1
+        assert err.splitlines() == ["error: input size must look like 256x256x3, got '256x256'"]
 
     def test_unknown_flag_fails_loudly(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import inspect
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -698,3 +699,34 @@ def test_benchmark_kernel_names_exist(monkeypatch):
     changed = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, original in patched
                if getattr(owner, attr) is not original]
     assert not changed, f"uninstall left {changed} patched"
+
+
+# Drives the library the way perfbench does, through each hook its workloads, ledger and report call
+_BENCHMARK_HOOKS = """
+import sys
+from pathlib import Path
+root, work = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, str(root / "perfbench"))
+import ledger, report, workloads
+lib = workloads.load_library(root)
+for workload in workloads.WORKLOADS:
+    for trace in (False, True):
+        run = workloads.Run(lib, workload, 1, trace, work, workloads.Checks())
+        run._set_tracing(trace)
+        assert run._round_trip(run._fresh_model()) is not None, workload
+        assert len(run._dataset(2, "data", "train")) == 2
+        flops = ledger.layer_flops(run)
+        assert set(flops) == set(ledger.LAYERS) and min(flops.values()) > 0, flops
+        run._set_tracing(False)
+        assert run.checks.failed == 0, (workload, trace)
+small, paper = report.flop_ratio()
+assert 0 < small < 1 and 0 < paper < 1, (small, paper)
+"""
+
+
+def test_benchmark_library_hooks_run(tmp_path):
+    # workloads.load_library registers the checkout as dscjscc in sys.modules, so this runs in a child
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", _BENCHMARK_HOOKS, str(root), str(tmp_path)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -14,7 +14,7 @@ from dscjscc import model as model_module
 from dscjscc.autodiff import Tensor
 from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.kernels import ShapeError
-from dscjscc.model import (VARIANT_ORDER, VARIANT_PATTERNS, Activation, ArchitectureSpec, CodecModel,
+from dscjscc.model import (VARIANT_ORDER, Activation, ArchitectureSpec, CodecModel,
                            LayerKind, LayerSpec, VariantId, build_variant,
                            build_variant_architecture, default_base_architecture,
                            denormalize_pixels, normalize_pixels)
@@ -130,7 +130,7 @@ class TestVariantBuilder:
             VariantId.R80: ("DDDDC", "DDDDC"),
             VariantId.R100: ("DDDDD", "DDDDD"),
         }
-        assert VARIANT_PATTERNS == expected
+        assert {v: v.masks for v in VariantId} == expected
         for variant, (em, dm) in expected.items():
             arch = build_variant_architecture(variant, (32, 32, 3), 8)
             enc = "".join("D" if l.kind.is_separable else "C" for l in arch.encoder)

@@ -19,10 +19,6 @@ def run_script(name, *args, cwd):
 
 
 def test_scripts_run_end_to_end(tmp_path):
-    table = run_script("make_complexity_table.py", cwd=tmp_path)
-    assert table.returncode == 0, table.stderr
-    assert table.stdout.startswith((ROOT / "tests" / "golden" / "analyze_all.txt").read_text())
-
     out = tmp_path / "desk"
     desk = run_script("run_desk_experiment.py", "--size", "16", "--c", "4", "--images", "4",
                       "--steps", "2", "--out", str(out), "--snr-list=-5,10", cwd=tmp_path)
@@ -31,13 +27,6 @@ def test_scripts_run_end_to_end(tmp_path):
         assert (out / name).is_file(), name
     # the sweep runs on held-out images: their own count and seed (the master seed 0 + 3)
     assert json.loads((out / "eval.json").read_text())["dataset"] == {"synthetic": {"count": 16, "seed": 3}}
-
-
-def test_complexity_table_script_rejects_malformed_input_size(tmp_path):
-    result = run_script("make_complexity_table.py", "--input", "256x256", cwd=tmp_path)
-    assert result.returncode == 2
-    assert "input size must look like 256x256x3" in result.stderr
-    assert "Traceback" not in result.stderr
 
 
 # flag -> (a value the desk script must reject in one error line, a piece of that line)
