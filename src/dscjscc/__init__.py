@@ -9,8 +9,8 @@ from .data import Dataset, DatasetError, center_crop, load_dataset, synthetic_da
 from .kernels import ShapeError
 from .metrics import evaluate_sweep, mse_pixel_mean, psnr
 from .model import (Activation, ArchitectureSpec, CodecModel, LayerKind, LayerSpec,
-                    VariantId, build_variant, build_variant_architecture,
-                    default_base_architecture, denormalize_pixels, normalize_pixels)
+                    VariantId, build_variant_architecture, denormalize_pixels,
+                    normalize_pixels)
 from .training import Adam, TrainConfig, TrainResult, TrainingError, train
 
 __version__ = "0.1.0"
@@ -20,8 +20,7 @@ __all__ = [
     "ChannelConfig", "CheckpointError", "CodecModel", "ComplexityReport",
     "Dataset", "DatasetError", "LayerKind", "LayerSpec",
     "ShapeError", "Tensor", "TrainConfig", "TrainResult", "TrainingError", "VariantId",
-    "build_variant", "build_variant_architecture", "center_crop",
-    "default_base_architecture", "denormalize_pixels", "evaluate_sweep",
+    "build_variant_architecture", "center_crop", "denormalize_pixels", "evaluate_sweep",
     "layer_flops", "layer_params", "load_checkpoint",
     "load_dataset", "model_complexity", "mse_pixel_mean",
     "normalize_pixels", "psnr",

@@ -98,7 +98,11 @@ def save_checkpoint(model: CodecModel, path: str | Path) -> None:
         out += struct.pack("<I", arr.ndim)
         for dim in arr.shape:
             out += struct.pack("<I", dim)
-        out += arr.astype("<f4").tobytes()
+        try:
+            with np.errstate(over="raise"):  # a weight beyond float32's range would load as inf
+                out += arr.astype("<f4").tobytes()
+        except FloatingPointError:
+            raise CheckpointError(f"{path}: tensor {name!r} holds a weight beyond float32's range") from None
     Path(path).write_bytes(bytes(out))
 
 

@@ -27,7 +27,7 @@ from .complexity import format_table, layer_params, model_complexity, reduction_
 from .data import Dataset, load_dataset, synthetic_dataset
 from .metrics import evaluate_sweep, sweep_to_csv
 from .model import (VARIANT_ORDER, ArchitectureSpec, CodecModel, VariantId,
-                    build_variant_architecture, default_base_architecture)
+                    build_variant_architecture)
 from .training import TrainConfig, TrainingError, history_to_csv, train
 
 
@@ -150,7 +150,7 @@ def derive_bandwidth(variant: VariantId, input_shape: tuple[int, int, int],
         raise ConfigError("exactly one of rho / c must be given")
     if rho is not None:
         rho = _parse("rho", _RHO, rho)
-        probe = default_base_architecture(input_shape, 2)  # k is c/2 times the latent area
+        probe = build_variant_architecture(variant, input_shape, 2)  # k is c/2 times the latent area
         derived = 2 * int(rho * probe.n) // probe.k  # floor for non-negative rho*n
         if c is not None and derived != c:
             raise ConfigError(f"rho={rho} implies c={derived}, but c={c} was given")
@@ -291,6 +291,8 @@ def cmd_eval(args) -> int:
     if (model.architecture, model.power) != (cfg.architecture, cfg.power):
         raise ConfigError(f"checkpoint {ckpt} holds {_describe(model)}, but the config gives {_describe(cfg)}")
     data = _load_configured_dataset(cfg)
+    symbols = 16 * model.k * len(data) * cfg.draws_per_image  # one SNR point's stacked complex symbols
+    _check_fits(symbols, f"draws_per_image={cfg.draws_per_image} needs {symbols} bytes of symbols per SNR")
     rows = evaluate_sweep(model, data, list(cfg.snr_list),
                           draws_per_image=cfg.draws_per_image, seed=cfg.seed)
     out_dir = Path(cfg.out_dir)

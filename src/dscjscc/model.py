@@ -1,16 +1,17 @@
 """Codec architecture description, variant builder, and end-to-end forward pass.
 
 The base network is a 5-layer convolutional encoder mirrored by a 5-layer
-transposed-convolutional decoder.  Variants selectively swap standard layers
-for their depthwise-separable counterparts, leaving every other hyperparameter
-untouched.  The encoder output is reshaped into interleaved complex symbols
-and rescaled to a fixed average transmit power before hitting the channel.
+transposed-convolutional decoder.  One builder, ``build_variant_architecture``,
+lays out every variant's ten layers: its masks pick which are
+depthwise-separable, and every other hyperparameter is the same for all.
+The encoder output is reshaped into interleaved complex symbols and
+rescaled to a fixed average transmit power before hitting the channel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -181,10 +182,13 @@ class VariantId(Enum):
 VARIANT_ORDER = tuple(VariantId)
 
 
-def default_base_architecture(input_shape: tuple[int, int, int] = (256, 256, 3),
-                              channel_count: int = 8) -> ArchitectureSpec:
-    """All-standard 5+5 architecture: kernel 5, strides 2,2,1,1,1 mirrored.
+def build_variant_architecture(variant: VariantId,
+                               input_shape: tuple[int, int, int] = (256, 256, 3),
+                               channel_count: int = 8) -> ArchitectureSpec:
+    """The variant's 5+5 layers: kernel 5, padding 2, strides 2,2,1,1,1 mirrored.
 
+    Each layer is separable where the variant's mask says D and standard where
+    it says C; every other hyperparameter is the same for all variants.
     Spatial dims shrink by 4x into the latent, so width and height must be
     multiples of 4 for the decoder to land back on the input shape exactly.
     """
@@ -193,42 +197,17 @@ def default_base_architecture(input_shape: tuple[int, int, int] = (256, 256, 3),
         raise ShapeError(f"input shape {input_shape} too small for the 5+5 codec")
     if w % 4 != 0 or h % 4 != 0:
         raise ShapeError(f"input spatial dims must be multiples of 4 to round-trip, got {w}x{h}")
-    k = 5
-    enc_filters = (16, 32, 32, 32, channel_count)
-    enc_strides = (2, 2, 1, 1, 1)
-    dec_filters = (32, 32, 32, 16, c)
-    dec_strides = (1, 1, 1, 2, 2)
-    enc_layers = []
-    cin = c
-    for cout, s in zip(enc_filters, enc_strides):
-        enc_layers.append(LayerSpec(LayerKind.CONV, cin, cout, k, s, 2,
-                                    activation=Activation.PRELU))
+    enc_mask, dec_mask = variant.masks
+    enc_layers, dec_layers, cin = [], [], c
+    for m, cout, s in zip(enc_mask, (16, 32, 32, 32, channel_count), (2, 2, 1, 1, 1)):
+        enc_layers.append(LayerSpec(LayerKind.DSCONV if m == "D" else LayerKind.CONV, cin, cout, 5, s, 2))
         cin = cout
-    dec_layers = []
-    for i, (cout, s) in enumerate(zip(dec_filters, dec_strides)):
+    for i, (m, cout, s) in enumerate(zip(dec_mask, (32, 32, 32, 16, c), (1, 1, 1, 2, 2))):
         act = Activation.SIGMOID if i == 4 else Activation.PRELU
-        dec_layers.append(LayerSpec(LayerKind.TCONV, cin, cout, k, s, 2,
+        dec_layers.append(LayerSpec(LayerKind.DSTCONV if m == "D" else LayerKind.TCONV, cin, cout, 5, s, 2,
                                     output_padding=s - 1, activation=act))
         cin = cout
     return ArchitectureSpec(tuple(enc_layers), tuple(dec_layers), input_shape)
-
-
-def build_variant(variant: VariantId, base: ArchitectureSpec) -> ArchitectureSpec:
-    """Rewrite layer kinds per the variant's masks; everything else is untouched."""
-    if any(layer.kind.is_separable for layer in base.encoder + base.decoder):
-        raise ShapeError("build_variant requires an all-standard base architecture")
-    enc_mask, dec_mask = variant.masks
-    enc = tuple(replace(l, kind=LayerKind.DSCONV) if m == "D" else l
-                for l, m in zip(base.encoder, enc_mask))
-    dec = tuple(replace(l, kind=LayerKind.DSTCONV) if m == "D" else l
-                for l, m in zip(base.decoder, dec_mask))
-    return ArchitectureSpec(enc, dec, base.input_shape)
-
-
-def build_variant_architecture(variant: VariantId,
-                               input_shape: tuple[int, int, int] = (256, 256, 3),
-                               channel_count: int = 8) -> ArchitectureSpec:
-    return build_variant(variant, default_base_architecture(input_shape, channel_count))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +307,6 @@ class CodecModel:
         self.architecture = architecture
         self.variant = variant
         self.power = float(power)
-        self.seed = seed
         self.params: dict[str, Tensor] = {}
         # per side and layer: its parameters by name, and constants sharing their arrays
         self._layers: dict[str, list[tuple[dict[str, Tensor], dict[str, Tensor]]]] = {"enc": [], "dec": []}

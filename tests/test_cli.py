@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,16 @@ class TestConfigParsing:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.json")
+
+    def test_readme_example_config(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```json\n")[1:]
+        assert len(blocks) == 1
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(blocks[0].split("```")[0])
+        parsed = parse_config(cfg)
+        assert parsed.architecture == build_variant_architecture(VariantId.R60_E2D2, (32, 32, 3), 8)
+        assert parsed.max_steps == 200
 
 
 @pytest.fixture()
@@ -430,6 +441,33 @@ class TestTrainEvalCommands:
                              env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 1
         assert run.stderr == "error: power_normalize: input norm is not finite at step 2 (epoch 2, lr 1e+30)\n"
+
+    def test_weight_beyond_float32_range_nonzero_exit(self, capsys, tmp_path):
+        # one step at lr 1e39 leaves weights that float32 cannot hold; such a checkpoint would load as inf
+        cfg = {"variant": "dsc-jscc-100", "input_size": "16x16x3", "c": 4, "learning_rate": 1e39,
+               "max_steps": 1, "epochs": 1, "dataset": {"synthetic": {"count": 4}},
+               "out_dir": str(tmp_path / "run")}
+        path = tmp_path / "lr.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "train", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "'enc0.dw_weight'" in err and err.count("\n") == 1
+        assert caught == []
+        assert not (tmp_path / "run" / "checkpoint.dscj").exists()
+
+    def test_draws_beyond_memory_nonzero_exit(self, capsys, desk_config):
+        # a subprocess with a timeout, so that a sweep that starts drawing fails the test instead of hanging it
+        cfg, out_dir = desk_config
+        assert run_cli(capsys, "train", "--config", str(cfg))[0] == 0
+        huge = cfg.parent / "huge.json"
+        huge.write_text(json.dumps({**json.loads(cfg.read_text()), "draws_per_image": 10 ** 12}))
+        run = subprocess.run([sys.executable, "-m", "dscjscc.cli", "eval", "--config", str(huge)],
+                             env=_checkout_env(), capture_output=True, text=True, timeout=20)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: draws_per_image=1000000000000 needs") and run.stderr.count("\n") == 1
+        assert not (out_dir / "sweep.csv").exists()
 
     def test_training_error_nonzero_exit(self, capsys, desk_config, monkeypatch):
         def diverge(*_args):

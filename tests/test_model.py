@@ -15,8 +15,7 @@ from dscjscc.autodiff import Tensor
 from dscjscc.channel import AwgnChannel, ChannelConfig
 from dscjscc.kernels import ShapeError
 from dscjscc.model import (VARIANT_ORDER, Activation, ArchitectureSpec, CodecModel,
-                           LayerKind, LayerSpec, VariantId, build_variant,
-                           build_variant_architecture, default_base_architecture,
+                           LayerKind, LayerSpec, VariantId, build_variant_architecture,
                            denormalize_pixels, normalize_pixels)
 from dscjscc.training import Adam, train_step
 from oracles import reshape_to_complex
@@ -35,19 +34,19 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 class TestBaseArchitecture:
     def test_paper_scale_geometry(self):
-        arch = default_base_architecture((256, 256, 3), 8)
+        arch = build_variant_architecture(VariantId.BASELINE, (256, 256, 3), 8)
         assert arch.latent_dims == (64, 64)
         assert arch.k == 16384
         assert arch.n == 196608
         assert arch.rho == Fraction(1, 12)
 
     def test_desk_scale_geometry(self):
-        arch = default_base_architecture((32, 32, 3), 8)
+        arch = build_variant_architecture(VariantId.BASELINE, (32, 32, 3), 8)
         assert arch.latent_dims == (8, 8)
         assert arch.k == 256
 
     def test_layer_structure(self):
-        arch = default_base_architecture((256, 256, 3), 8)
+        arch = build_variant_architecture(VariantId.BASELINE, (256, 256, 3), 8)
         assert [l.out_channels for l in arch.encoder] == [16, 32, 32, 32, 8]
         assert [l.stride for l in arch.encoder] == [2, 2, 1, 1, 1]
         assert [l.out_channels for l in arch.decoder] == [32, 32, 32, 16, 3]
@@ -60,12 +59,12 @@ class TestBaseArchitecture:
 
     def test_non_roundtrip_shape_rejected(self):
         with pytest.raises(ShapeError, match="multiples of 4"):
-            default_base_architecture((34, 34, 3), 8)
+            build_variant_architecture(VariantId.BASELINE, (34, 34, 3), 8)
 
     def test_odd_symbol_count_rejected(self):
         # latent 1x1 with odd c cannot pair into complex symbols
         with pytest.raises(ShapeError, match="odd symbol count"):
-            default_base_architecture((4, 4, 3), 3)
+            build_variant_architecture(VariantId.BASELINE, (4, 4, 3), 3)
 
     @pytest.mark.parametrize("side, index, field, value, message", [
         ("decoder", 4, "out_channels", 5, "dec4 gives 5 channels, but the input has 3"),
@@ -73,7 +72,7 @@ class TestBaseArchitecture:
         ("decoder", 2, "in_channels", 16, "dec2 takes 16 channels, but gets 32"),
     ])
     def test_channels_that_do_not_chain_rejected(self, side, index, field, value, message):
-        arch = default_base_architecture((16, 16, 3), 8)
+        arch = build_variant_architecture(VariantId.BASELINE, (16, 16, 3), 8)
         layers = list(getattr(arch, side))
         layers[index] = replace(layers[index], **{field: value})
         with pytest.raises(ShapeError, match=message):
@@ -138,9 +137,9 @@ class TestVariantBuilder:
             assert (enc, dec) == (em, dm)
 
     def test_builder_purity(self):
-        base = default_base_architecture((64, 64, 3), 8)
+        base = build_variant_architecture(VariantId.BASELINE, (64, 64, 3), 8)
         for variant in VARIANT_ORDER:
-            arch = build_variant(variant, base)
+            arch = build_variant_architecture(variant, (64, 64, 3), 8)
             for a, b in zip(base.encoder + base.decoder, arch.encoder + arch.decoder):
                 assert (a.in_channels, a.out_channels, a.kernel, a.stride,
                         a.padding, a.output_padding, a.activation) == \
