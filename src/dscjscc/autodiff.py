@@ -1,9 +1,11 @@
 """Minimal reverse-mode engine over the convolution primitives.
 
 A :class:`Tensor` wraps a float64 numpy array and remembers how it was
-produced.  Calling :meth:`Tensor.backward` on a scalar (or with an explicit
-upstream gradient) walks the recorded graph in reverse topological order and
-accumulates gradients into every leaf created with ``requires_grad=True``.
+produced.  Calling :meth:`Tensor.backward` on a scalar walks the recorded
+graph in reverse topological order and accumulates gradients into every leaf
+created with ``requires_grad=True``.  No gradient is ever written in place: a
+node keeps the array its child hands it, which may be the child's own
+gradient or a view of it, and a second gradient is added out of place.
 An operation none of whose inputs requires a gradient records nothing, so in
 a pass over constants, such as the codec's ``encode`` and ``decode``, each
 result is freed once the next operation has read it.
@@ -26,7 +28,7 @@ from .kernels import ShapeError
 
 
 class AutodiffError(RuntimeError):
-    """Backward invoked on a tensor with no recorded graph, or bad upstream shape."""
+    """Backward invoked on a tensor with no recorded graph, or on a non-scalar."""
 
 
 class Tensor:
@@ -45,28 +47,18 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` to the gradient; an ``owned`` ``g`` is kept as it is, not copied."""
-        if self.grad is None:
-            self.grad = g if owned else g.copy()
-        else:
-            self.grad += g
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Keep ``g`` as the gradient, or add it to the one already kept; never in place."""
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, upstream: np.ndarray | None = None) -> None:
+    def backward(self) -> None:
         if not self.requires_grad:
             raise AutodiffError("backward called on a tensor with no recorded graph")
-        if upstream is None:
-            if self.data.size != 1:
-                raise AutodiffError("backward without an upstream gradient needs a scalar output")
-            upstream = np.ones_like(self.data)
-        else:
-            upstream = np.asarray(upstream, dtype=np.float64)
-            if upstream.shape != self.data.shape:
-                raise AutodiffError(f"upstream gradient shape {upstream.shape} != output shape {self.data.shape}")
-
+        if self.data.size != 1:
+            raise AutodiffError("backward needs a scalar output, such as a loss")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -83,22 +75,18 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        self._accumulate(upstream)
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...],
-          vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]], owned: bool = True) -> Tensor:
+          vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> Tensor:
     """Graph node whose backward sends ``vjp(gy)[i]``, one gradient per parent, to ``parents[i]``.
 
-    ``owned`` says that ``vjp`` returns arrays it freshly allocated, one per
-    parent, which the parents keep as their gradients; a VJP that passes
-    ``gy`` on, or a view of it, is not owned, and its gradients are copied.
+    A parent keeps the array it is handed, so ``vjp`` may pass ``gy`` on, or a
+    view of it, and must never write into ``gy``: no gradient is written in place.
     """
     if not any(p.requires_grad for p in parents):
         # a constant keeps neither its parents nor ``vjp``, nor the arrays ``vjp`` holds
@@ -107,55 +95,46 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
     def backward(gy: np.ndarray) -> None:
         for p, g in zip(parents, vjp(gy)):
             if p.requires_grad:
-                p._accumulate(g, owned)
+                p._accumulate(g)
 
     return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward)
-
-
-def _conv_parents(x: Tensor, w: Tensor, b: Tensor | None) -> tuple[Tensor, ...]:
-    # a missing bias drops out of the parents, and zip() then drops its gradient
-    return (x, w) if b is None else (x, w, b)
-
-
-def _data(b: Tensor | None) -> np.ndarray | None:
-    return None if b is None else b.data
 
 
 # ---------------------------------------------------------------------------
 # graph operations
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int) -> Tensor:
-    y, col = kernels.conv2d_forward_cached(x.data, w.data, _data(b), stride, padding)
-    return _node(y, _conv_parents(x, w, b),
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int) -> Tensor:
+    y, col = kernels.conv2d_forward_cached(x.data, w.data, b.data, stride, padding)
+    return _node(y, (x, w, b),
                  lambda gy: kernels.conv2d_backward(x.data, w.data, gy, stride, padding, col=col,
                                                     input_grad=x.requires_grad))
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int) -> Tensor:
-    y = kernels.depthwise_conv2d_forward(x.data, w.data, _data(b), stride, padding)
-    return _node(y, _conv_parents(x, w, b),
+def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int) -> Tensor:
+    y = kernels.depthwise_conv2d_forward(x.data, w.data, b.data, stride, padding)
+    return _node(y, (x, w, b),
                  lambda gy: kernels.depthwise_conv2d_backward(x.data, w.data, gy, stride, padding,
                                                               input_grad=x.requires_grad))
 
 
-def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+def pointwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.data.shape[2] != 1 or w.data.shape[3] != 1:
         raise ShapeError(f"pointwise_conv2d: kernel size must be 1, got {w.data.shape[2:]}")
     return conv2d(x, w, b, 1, 0)
 
 
-def tconv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
+def tconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int,
             output_padding: int) -> Tensor:
-    y = kernels.tconv2d_forward(x.data, w.data, _data(b), stride, padding, output_padding)
-    return _node(y, _conv_parents(x, w, b),
+    y = kernels.tconv2d_forward(x.data, w.data, b.data, stride, padding, output_padding)
+    return _node(y, (x, w, b),
                  lambda gy: kernels.tconv2d_backward(x.data, w.data, gy, stride, padding, output_padding))
 
 
-def depthwise_tconv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
+def depthwise_tconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int,
                       output_padding: int) -> Tensor:
-    y = kernels.depthwise_tconv2d_forward(x.data, w.data, _data(b), stride, padding, output_padding)
-    return _node(y, _conv_parents(x, w, b),
+    y = kernels.depthwise_tconv2d_forward(x.data, w.data, b.data, stride, padding, output_padding)
+    return _node(y, (x, w, b),
                  lambda gy: kernels.depthwise_tconv2d_backward(x.data, w.data, gy, stride, padding,
                                                                output_padding))
 
@@ -179,17 +158,18 @@ def add_constant(x: Tensor, c: np.ndarray) -> Tensor:
     """Add a constant array (e.g. a channel-noise realisation); gradient passes through."""
     if c.shape != x.data.shape:
         raise ShapeError(f"add_constant: constant shape {c.shape} != tensor shape {x.data.shape}")
-    return _node(x.data + c, (x,), lambda gy: (gy,), owned=False)
+    return _node(x.data + c, (x,), lambda gy: (gy,))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _node(x.data.reshape(shape), (x,), lambda gy: (gy.reshape(x.data.shape),), owned=False)
+    return _node(x.data.reshape(shape), (x,), lambda gy: (gy.reshape(x.data.shape),))
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     """``x`` with its axes permuted, as a view; the gradient takes the inverse permutation."""
     inverse = tuple(np.argsort(axes))
-    return _node(x.data.transpose(axes), (x,), lambda gy: (gy.transpose(inverse),), owned=False)
+    # a C-contiguous copy: the next kernels sum in that layout's order, and a view moves their last bits
+    return _node(x.data.transpose(axes), (x,), lambda gy: (np.ascontiguousarray(gy.transpose(inverse)),))
 
 
 def power_normalize(x: Tensor, k: int, power: float) -> Tensor:

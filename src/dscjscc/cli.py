@@ -57,9 +57,9 @@ def _numbers(value) -> tuple[float, ...] | None:
 
 
 def _rho(value) -> Fraction | None:
-    """A number (not a bool), a Fraction or a "p/q" string, as a Fraction > 0; None otherwise."""
+    """A number (not a bool) or a "p/q" string, as a Fraction > 0; None otherwise."""
     try:
-        if isinstance(value, Fraction) or isinstance(value, str) and "/" in value:
+        if isinstance(value, str) and "/" in value:
             rho = Fraction(value)
         elif type(value) in (int, float):
             rho = Fraction(value).limit_denominator(10 ** 9)
@@ -141,7 +141,7 @@ def parse_input_size(text: str) -> tuple[int, int, int]:
 
 
 def derive_bandwidth(variant: VariantId, input_shape: tuple[int, int, int],
-                     rho=None, c=None) -> ArchitectureSpec:
+                     rho: Fraction | None = None, c: int | None = None) -> ArchitectureSpec:
     """The variant's layers at ``input_shape`` with c latent channels.
 
     A given rho must give a whole c, and the weights must fit in the machine's memory.
@@ -149,7 +149,6 @@ def derive_bandwidth(variant: VariantId, input_shape: tuple[int, int, int],
     if rho is None and c is None:
         raise ConfigError("exactly one of rho / c must be given")
     if rho is not None:
-        rho = _parse("rho", _RHO, rho)
         probe = build_variant_architecture(variant, input_shape, 2)  # k is c/2 times the latent area
         derived = 2 * int(rho * probe.n) // probe.k  # floor for non-negative rho*n
         if c is not None and derived != c:
@@ -259,15 +258,16 @@ def cmd_train(args) -> int:
     print(f"bandwidth: n={arch.n} k={arch.k} c={arch.channel_count} "
           f"rho={arch.rho.numerator}/{arch.rho.denominator}")
     data = _load_configured_dataset(cfg)
+    out_dir = Path(cfg.out_dir)  # made before the run, so that an unusable path fails first
+    ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out_dir / "checkpoint.dscj"
+    for directory in (out_dir, ckpt.parent):
+        directory.mkdir(parents=True, exist_ok=True)
     model = CodecModel(arch, variant=cfg.variant, power=cfg.power, seed=cfg.seed)
     train_cfg = TrainConfig(learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
                             epochs=cfg.epochs, snr_db=cfg.train_snr_db,
                             seed=cfg.seed, max_steps=cfg.max_steps)
     channel_cfg = ChannelConfig(power=cfg.power, snr_db=cfg.train_snr_db, seed=cfg.seed + 1)
     result = train(model, data, train_cfg, channel_cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out_dir / "checkpoint.dscj"
     save_checkpoint(model, ckpt)
     losses = out_dir / "loss_history.csv"
     losses.write_text(history_to_csv(result.history))
@@ -293,10 +293,10 @@ def cmd_eval(args) -> int:
     data = _load_configured_dataset(cfg)
     symbols = 16 * model.k * len(data) * cfg.draws_per_image  # one SNR point's stacked complex symbols
     _check_fits(symbols, f"draws_per_image={cfg.draws_per_image} needs {symbols} bytes of symbols per SNR")
+    out_dir = Path(cfg.out_dir)  # made before the sweep, so that an unusable path fails first
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = evaluate_sweep(model, data, list(cfg.snr_list),
                           draws_per_image=cfg.draws_per_image, seed=cfg.seed)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sweep = out_dir / "sweep.csv"
     sweep.write_text(sweep_to_csv(rows))
     for r in rows:

@@ -52,8 +52,9 @@ def evaluate_sweep(model: CodecModel, data: Dataset, snr_list: list[float],
     channel transmits at the model's own ``power``.  Encoding
     does not depend on the SNR, so each image is encoded once, at batch 1
     (a batched encode differs in the last bits of the symbols).  At each SNR
-    point the noisy draws of every image are stacked in (image, draw) order
-    and decoded in consecutive slices of at most ``_DECODE_BATCH`` rows.
+    point the noisy draws of every image are written in (image, draw) order
+    into one block, allocated once per sweep, and decoded in consecutive
+    slices of at most ``_DECODE_BATCH`` rows.
     Decoding is row-independent, so slicing changes no row beyond float
     round-off.  The encodes and decodes run on constant parameters and hold
     no autodiff graph, so each layer's activation is freed once the next
@@ -72,14 +73,14 @@ def evaluate_sweep(model: CodecModel, data: Dataset, snr_list: list[float],
     images = [data.images[ii:ii + 1] for ii in range(len(data))]
     codes = [model.encode(image) for image in images]
     rows = []
+    block = np.empty((len(codes) * draws_per_image, model.k), dtype=np.complex128)
     for si, snr_db in enumerate(snr_list):
-        noisy = []
         for ii, z in enumerate(codes):
             cfg = ChannelConfig(power=model.power, snr_db=snr_db,
                                 seed=_stream_seed(seed, si, ii))
             ch = AwgnChannel(cfg)
-            noisy += [ch.transmit(z) for _ in range(draws_per_image)]
-        block = np.concatenate(noisy)
+            for row in range(ii * draws_per_image, (ii + 1) * draws_per_image):
+                block[row] = ch.transmit(z)[0]
         values = []
         for start in range(0, len(block), _DECODE_BATCH):
             xhat = model.decode(block[start:start + _DECODE_BATCH])

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -115,32 +116,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_input_size("256x256")
 
-    def test_rho_fraction_and_decimal(self):
-        from fractions import Fraction
-        assert derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho="1/12").rho == Fraction(1, 12)
-        assert derive_bandwidth(VariantId.BASELINE, (32, 32, 3), rho=0.25).rho == Fraction(1, 4)
+    def test_rho_fraction_and_decimal(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        for size, rho, parsed in [("256x256x3", "1/12", Fraction(1, 12)), ("32x32x3", 0.25, Fraction(1, 4))]:
+            cfg.write_text(json.dumps({"variant": "baseline", "input_size": size, "rho": rho}))
+            assert parse_config(cfg).architecture.rho == parsed
 
     def test_bandwidth_from_rho(self):
-        arch = derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho="1/12")
+        arch = derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho=Fraction(1, 12))
         assert (arch.k, arch.channel_count) == (16384, 8)
 
     def test_bandwidth_from_c(self):
-        from fractions import Fraction
         arch = derive_bandwidth(VariantId.BASELINE, (32, 32, 3), c=8)
         assert (arch.k, arch.channel_count, arch.rho) == (256, 8, Fraction(1, 12))
 
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ConfigError, match="implies c="):
-            derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho="1/12", c=4)
+            derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho=Fraction(1, 12), c=4)
 
     def test_consistent_pair_accepted(self):
-        arch = derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho="1/12", c=8)
+        arch = derive_bandwidth(VariantId.BASELINE, (256, 256, 3), rho=Fraction(1, 12), c=8)
         assert (arch.k, arch.channel_count) == (16384, 8)
 
     def test_rho_without_whole_c_rejected(self):
         # 1/10 of 768 values is 76.8 symbols; the derived c=9 sends 72, which is rho=3/32.
         with pytest.raises(ConfigError, match="rho=1/10 .*rho=3/32"):
-            derive_bandwidth(VariantId.BASELINE, (16, 16, 3), rho="1/10")
+            derive_bandwidth(VariantId.BASELINE, (16, 16, 3), rho=Fraction(1, 10))
 
     def test_c_whose_weights_exceed_memory_rejected(self):
         # 10**12 latent channels need terabytes of weights: rejected from the layer shapes, before any allocation
@@ -468,6 +469,37 @@ class TestTrainEvalCommands:
         assert run.returncode == 1
         assert run.stderr.startswith("error: draws_per_image=1000000000000 needs") and run.stderr.count("\n") == 1
         assert not (out_dir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("key, path", [("out_dir", "afile/run"), ("checkpoint", "afile/c.dscj")])
+    def test_train_to_unusable_path_fails_before_training(self, capsys, desk_config, monkeypatch, key, path):
+        cfg, _ = desk_config
+        (cfg.parent / "afile").write_text("")
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: str(cfg.parent / path)}))
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert calls == []
+
+    def test_eval_to_unusable_out_dir_fails_before_the_sweep(self, capsys, desk_config, monkeypatch):
+        cfg, out_dir = desk_config
+        assert run_cli(capsys, "train", "--config", str(cfg))[0] == 0
+        (cfg.parent / "afile").write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "evaluate_sweep", lambda *args, **kwargs: calls.append(args))
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg), "--out", str(cfg.parent / "afile" / "run"),
+                               "--checkpoint", str(out_dir / "checkpoint.dscj"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert calls == []
+
+    def test_train_makes_the_checkpoint_directory(self, capsys, desk_config):
+        cfg, _ = desk_config
+        ckpt = cfg.parent / "missing" / "dir" / "c.dscj"
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "checkpoint": str(ckpt)}))
+        assert run_cli(capsys, "train", "--config", str(cfg))[0] == 0
+        assert ckpt.exists()
 
     def test_training_error_nonzero_exit(self, capsys, desk_config, monkeypatch):
         def diverge(*_args):

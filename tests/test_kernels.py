@@ -60,8 +60,8 @@ def conv2d_forward(x, w, b, stride, padding):
     return conv2d_forward_cached(x, w, b, stride, padding)[0]
 
 
-def pointwise(x, w, b=None):
-    y = ad.pointwise_conv2d(Tensor(chwn(x)), Tensor(w), None if b is None else Tensor(b))
+def pointwise(x, w, b):
+    y = ad.pointwise_conv2d(Tensor(chwn(x)), Tensor(w), Tensor(b))
     return y.data.transpose(3, 0, 1, 2)
 
 
@@ -111,7 +111,7 @@ class TestPointwiseConv2d:
     def test_identity_mixing(self):
         x = rng.standard_normal((2, 3, 4, 4))
         w = np.eye(3).reshape(3, 3, 1, 1)
-        np.testing.assert_array_equal(pointwise(x, w), x)
+        np.testing.assert_array_equal(pointwise(x, w, np.zeros(3)), x)
 
     def test_linearity_on_constant_input(self):
         v = 2.5
@@ -127,7 +127,7 @@ class TestPointwiseConv2d:
 
     def test_rejects_wide_kernel(self):
         with pytest.raises(ShapeError, match="kernel size"):
-            pointwise(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)))
+            pointwise(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)), np.zeros(1))
 
 
 class TestTconv2d:

@@ -1,6 +1,7 @@
 """MSE conventions, PSNR definition, and the SNR sweep evaluator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,3 +169,16 @@ class TestEvaluateSweep:
                 expected += [ch.transmit(z) for _ in range(draws)]
             got = np.concatenate(calls[si * per_snr:(si + 1) * per_snr])
             np.testing.assert_array_equal(got, np.concatenate(expected))
+
+    def test_draws_are_held_once(self, model_and_data):
+        # one SNR point's noisy draws live in one (images x draws, k) block, with no second copy beside it
+        model, data = model_and_data
+        draws = 2000
+        block = len(data) * draws * model.k * 16
+        tracemalloc.start()
+        try:
+            evaluate_sweep(model, data, [10.0], draws_per_image=draws, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block
