@@ -1,14 +1,15 @@
 """Minimal reverse-mode engine over the convolution primitives.
 
 A :class:`Tensor` wraps a float64 numpy array and remembers how it was
-produced.  Calling :meth:`Tensor.backward` on a scalar walks the recorded
-graph in reverse topological order and accumulates gradients into every leaf
-created with ``requires_grad=True``.  No gradient is ever written in place: a
-node keeps the array its child hands it, which may be the child's own
-gradient or a view of it, and a second gradient is added out of place.
-An operation none of whose inputs requires a gradient records nothing, so in
-a pass over constants, such as the codec's ``encode`` and ``decode``, each
-result is freed once the next operation has read it.
+produced.  :meth:`Tensor.backward` on a scalar walks the recorded graph in
+reverse topological order, accumulates gradients into every leaf created with
+``requires_grad=True`` and consumes the graph: each other node drops its
+gradient, VJP and parents once it has run, and a later pass through it raises.
+No gradient is ever written in place: a node keeps the array its child hands
+it, the child's own gradient or a view of it, and a second gradient is added
+out of place.  An operation none of whose inputs requires a gradient records
+nothing, so in a pass over constants, such as the codec's ``encode`` and
+``decode``, each result is freed once the next operation has read it.
 
 Only the operations the codec needs exist here; there is no broadcasting
 beyond per-channel parameters.  Convolution and activation nodes take and
@@ -28,7 +29,7 @@ from .kernels import ShapeError
 
 
 class AutodiffError(RuntimeError):
-    """Backward invoked on a tensor with no recorded graph, or on a non-scalar."""
+    """Backward invoked on a tensor with no recorded graph, on a non-scalar, or on a consumed graph."""
 
 
 class Tensor:
@@ -55,6 +56,7 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
+        """Add d(self)/d(leaf) to each leaf's ``.grad`` and consume the graph: a later pass raises."""
         if not self.requires_grad:
             raise AutodiffError("backward called on a tensor with no recorded graph")
         if self.data.size != 1:
@@ -76,9 +78,17 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            vjp, gy = node._backward, node.grad
+            if vjp is not None:  # a leaf keeps its gradient for the optimizer
+                node.grad, node._backward, node._parents = None, _released, ()
+                del node  # its output goes before its VJP runs, unless the VJP reads it
+                vjp(gy)
+
+
+def _released(gy: np.ndarray) -> None:
+    raise AutodiffError("backward reached a node whose graph an earlier backward consumed")
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...],

@@ -1,5 +1,7 @@
 """Reverse-mode correctness: finite differences, hand-derived cases, determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -86,10 +88,66 @@ def test_fan_out_gradients_add_out_of_place():
     a, b = ad.reshape(x, (3, 2)), ad.reshape(x, (6,))
     ga, gb = rng.standard_normal((3, 2)), rng.standard_normal(6)
     sum_all(ad.scale(a, ga)).backward()
-    assert np.shares_memory(x.grad, a.grad)
+    g1 = x.grad
     sum_all(ad.scale(b, gb)).backward()
-    np.testing.assert_array_equal(a.grad, ga)
+    np.testing.assert_array_equal(g1, ga.reshape(2, 3))
     np.testing.assert_array_equal(x.grad, ga.reshape(2, 3) + gb.reshape(2, 3))
+
+
+def test_second_backward_of_one_loss_raises():
+    # a pass that re-ran the consumed graph would add its gradient to x again
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = ad.mse_mean(ad.scale(ad.scale(x, 3.0), 1.0), Tensor(np.zeros(2)))
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(AutodiffError, match="consumed"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_backward_through_a_node_another_loss_consumed_raises():
+    # h has passed l1's gradient on and dropped its VJP: l2's gradient through h
+    # can be neither re-sent with l1's nor dropped without a word
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = ad.scale(x, 2.0)
+    l1 = ad.mse_mean(h, Tensor(np.zeros(2)))
+    l2 = sum_all(ad.scale(h, np.array([0.5, 1.5])))
+    l1.backward()
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+    with pytest.raises(AutodiffError, match="consumed"):
+        l2.backward()
+
+
+def test_backward_releases_interior_nodes_and_leaves_keep_gradients():
+    x = Tensor(rng.standard_normal((2, 5, 5, 3)), requires_grad=True)  # (C, H, W, N)
+    w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(4), requires_grad=True)
+    slopes = Tensor(np.full(4, 0.25), requires_grad=True)
+    h = ad.sigmoid(ad.prelu(ad.conv2d(x, w, b, 2, 1), slopes))
+    loss = ad.mse_mean(ad.reshape(h, (-1,)), Tensor(np.zeros(h.data.size)))
+    interior, todo = [], [loss]
+    while todo:
+        node = todo.pop()
+        if node._backward is not None and all(node is not n for n in interior):
+            interior.append(node)
+            todo.extend(node._parents)
+    assert len(interior) == 5  # mse, reshape, sigmoid, prelu, conv2d
+    loss.backward()
+    for node in interior:
+        assert node.grad is None and node._parents == ()
+    for leaf in (x, w, b, slopes):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+
+
+def test_interior_activation_is_freed_by_backward():
+    x = Tensor(rng.standard_normal((2, 5, 5, 3)), requires_grad=True)  # (C, H, W, N)
+    h = ad.prelu(x, Tensor(np.full(2, 0.25)))
+    activation = weakref.ref(h.data)
+    loss = sum_all(ad.sigmoid(h))  # the sigmoid's VJP reads h's array, and the loss holds it
+    del h
+    assert activation() is not None
+    loss.backward()
+    assert activation() is None
 
 
 def test_power_normalize_zero_norm_rejected():

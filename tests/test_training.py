@@ -1,6 +1,7 @@
 """Adam behaviour, training-loop determinism and convergence plumbing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,22 @@ def test_kept_gradients_are_never_written_in_place(variant, monkeypatch):
     for k in grads:
         assert not locked[k].flags.writeable
         np.testing.assert_array_equal(grads[k], locked[k], err_msg=k)
+
+
+def test_train_step_frees_the_graph_as_backward_runs():
+    # tracemalloc peak of one batch-32 32x32x3 dsc-jscc-100 step: 46.4 MiB while the
+    # graph lived until the step ended, 27.9 MiB with each node freed once it has run
+    variant = VariantId.R100
+    model = CodecModel(build_variant_architecture(variant, (32, 32, 3), 8), variant=variant, seed=5)
+    images = synthetic_dataset(32, 32, seed=6).images
+    channel, optimizer = AwgnChannel(ChannelConfig(snr_db=10.0, seed=7)), Adam(model.params)
+    tracemalloc.start()
+    try:
+        train_step(model, images, channel, optimizer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("variant", [VariantId.BASELINE, VariantId.R100])
