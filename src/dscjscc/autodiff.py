@@ -115,9 +115,10 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int) -> Tensor:
-    y, col = kernels.conv2d_forward_cached(x.data, w.data, b.data, stride, padding)
+    # backward rebuilds the patches: kept, a dense layer's k-fold copy of x would live until its VJP ran
+    y, _ = kernels.conv2d_forward_cached(x.data, w.data, b.data, stride, padding)
     return _node(y, (x, w, b),
-                 lambda gy: kernels.conv2d_backward(x.data, w.data, gy, stride, padding, col=col,
+                 lambda gy: kernels.conv2d_backward(x.data, w.data, gy, stride, padding,
                                                     input_grad=x.requires_grad))
 
 

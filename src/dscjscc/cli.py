@@ -339,11 +339,11 @@ def _keep_freed_memory() -> None:
     """Have glibc's malloc keep freed memory for reuse rather than hand it back to the system.
 
     By default glibc trims the top of the heap once more than twice its
-    largest freed block is free there.  A train step frees its whole graph
-    when it ends, so without this the next step faults every page back in:
-    about 5,000 page faults per batch-32 dsc-jscc-100 step, which cost more
-    than its depthwise kernels save.  Arrays below 32 MiB then always come
-    from the heap.  On other C libraries this does nothing.
+    largest freed block is free there.  A train step frees its graph as
+    backward runs, so without this the next step faults pages back in: a
+    batch-32 step faulted 5,000-6,100 times for dsc-jscc-100, 3,200-3,700 for
+    e2d2 and 0-3,100 for the baseline, and none with it.  Arrays below 32 MiB
+    then always come from the heap.  On other C libraries this does nothing.
     """
     if not sys.platform.startswith("linux"):
         return

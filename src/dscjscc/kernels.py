@@ -34,14 +34,17 @@ one (k*C*k, Wo*N) window with a single row stride.  The conv (``_conv``) is
 one batched GEMM over output rows, the (Cout, k*C*k) kernel times each row's
 window, written straight into the output; the weight gradient
 (``_conv_weight_grad``) is each row's ``gy`` times its window transposed,
-summed over rows.  The copy is amortised over Cout output channels.  A
-pointwise conv's patches are the input itself, reshaped without a copy, and
-it is one GEMM (MobileNets, arXiv:1704.04861, runs its 1x1 layers the same
-way).  Every stride-1 input adjoint is the convolution of ``gy`` with the
-flipped kernel; a strided one (``_conv_input_adjoint``) builds each output
-phase, the rows and columns that share an offset modulo the stride (sub-pixel
-convolution: Shi et al., arXiv:1609.05158), from the stamps of the taps that
-land on it, and writes it once into its strided slots.
+summed over rows.  The copy is amortised over Cout output channels.  The
+engine rebuilds the patches in backward rather than hold every dense layer's
+k-fold copy through the step, and ``conv2d_backward``'s ``col`` lets a caller
+that still holds them skip the rebuild.  A pointwise conv's patches are the
+input itself, reshaped without a copy, and it is one GEMM (MobileNets,
+arXiv:1704.04861, runs its 1x1 layers the same way).  Every stride-1 input
+adjoint is the convolution of ``gy`` with the flipped kernel; a strided one
+(``_conv_input_adjoint``) builds each output phase, the rows and columns
+that share an offset modulo the stride (sub-pixel convolution: Shi et al.,
+arXiv:1609.05158), from the stamps of the taps that land on it, and writes it
+once into its strided slots.
 
 Depthwise layers do one multiply-add per tap and input element, so they are
 memory-bound: memory traffic, not FLOPs, sets their speed (ShuffleNet V2,
@@ -103,12 +106,14 @@ def _cols(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
         return x.reshape(c, -1)
     ho, wo = (conv_out_dim(d, k, stride, padding) for d in (h, wd))
     rows = stride * (ho - 1) + k
-    buf = np.zeros((rows, c, k, wo, n), dtype=x.dtype)
+    buf = np.empty((rows, c, k, wo, n), dtype=x.dtype)  # every cell is written once: zero or copied
     cols = buf.swapaxes(0, 1)
     r0, r1 = min(rows, padding), min(rows, h + padding)
+    buf[:r0], buf[r1:] = 0.0, 0.0
     for j in range(k):
         # output column o reads input column stride*o + j - padding, in range for o in [a, b)
         a, b = max(0, -((j - padding) // stride)), min(wo, (wd - 1 + padding - j) // stride + 1)
+        cols[:, r0:r1, j, :a], cols[:, r0:r1, j, max(a, b):] = 0.0, 0.0
         if r0 < r1 and a < b:
             x0 = stride * a + j - padding
             cols[:, r0:r1, j, a:b] = x[:, r0 - padding:r1 - padding, x0:x0 + stride * (b - a - 1) + 1:stride]
@@ -348,10 +353,12 @@ def _channel_sum(gy: np.ndarray) -> np.ndarray:
 
 def conv2d_forward_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                           stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pass returning (output, patches) so backward can reuse them.
+    """Forward pass returning (output, patches).
 
     The patches are the (rows, C, k, Wo*N) row-shift copy of ``_cols``, or the
-    input itself, reshaped, for an unpadded stride-1 1x1 kernel.
+    input itself, reshaped, for an unpadded stride-1 1x1 kernel.  The engine
+    drops them and ``conv2d_backward`` rebuilds them; passing them as its
+    ``col`` skips the rebuild.
     """
     k = w.shape[2]
     ho, wo = (conv_out_dim(d, k, stride, padding) for d in x.shape[1:3])

@@ -192,3 +192,21 @@ def test_constants_record_no_graph():
     sum_all(out).backward()
     expected = kernels.conv2d_backward(x, w, np.ones_like(out.data), 1, 1, input_grad=False)[1]
     np.testing.assert_array_equal(wt.grad, expected)
+
+
+def test_conv_node_keeps_no_patches(monkeypatch):
+    # a dense layer's patches are a k-fold copy of its input; backward rebuilds
+    # them, so the node must not hold them from forward to backward
+    refs = []
+    forward = kernels.conv2d_forward_cached
+
+    def recording(*args):
+        y, cols = forward(*args)
+        refs.append(weakref.ref(cols))
+        return y, cols
+
+    monkeypatch.setattr(kernels, "conv2d_forward_cached", recording)
+    w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+    out = ad.conv2d(Tensor(rng.standard_normal((2, 6, 6, 3))), w, Tensor(np.zeros(4)), 2, 1)
+    assert out._backward is not None and len(refs) == 1
+    assert refs[0]() is None

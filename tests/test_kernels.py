@@ -614,6 +614,60 @@ def test_dense_patches_are_a_k_fold_copy(k, s, p):
     assert cols.size == (s * (ho - 1) + k) * c * k * wo * n
 
 
+def _nan_empty(shape, dtype=float, **kwargs):
+    return np.full(shape, np.nan, dtype=dtype, **kwargs)
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 9), st.integers(1, 9), st.integers(1, 5),
+       st.integers(1, 3), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+@example(n=2, c=3, h=4, wd=5, k=2, s=1, p=3)  # padding >= k: whole rows and columns of padding
+@example(n=1, c=2, h=9, wd=7, k=2, s=3, p=1)  # stride > k: input columns no tap reads
+@example(n=2, c=1, h=1, wd=1, k=5, s=2, p=6)  # a 1x1 input: every tap column is mostly padding
+@example(n=3, c=4, h=8, wd=8, k=5, s=2, p=2)  # the codec's enc0 and enc1
+def test_cols_equals_zero_padded_gather(n, c, h, wd, k, s, p):
+    # the row-shift copy is written into an uninitialised buffer, so every cell it
+    # leaves unwritten would read NaN here: a missing border write cannot hide
+    ho, wo = conv_out_dim(h, k, s, p), conv_out_dim(wd, k, s, p)
+    if ho < 1 or wo < 1:
+        return
+    x = _example_rng(n, c, h, wd, k, s, p).standard_normal((c, h, wd, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels.np, "empty", _nan_empty)
+        cols = kernels._cols(x, k, s, p)
+    if k == 1 and s == 1 and not p:
+        expected = x.reshape(c, -1)
+    else:
+        xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+        rows = s * (ho - 1) + k
+        taps = np.stack([xp[:, :rows, j:j + s * (wo - 1) + 1:s] for j in range(k)], axis=2)  # (C, rows, k, Wo, N)
+        expected = taps.transpose(1, 0, 2, 3, 4).reshape(rows, c, k, wo * n)
+    assert cols.shape == expected.shape and cols.tobytes() == expected.tobytes()
+
+
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 9), st.integers(1, 5),
+       st.integers(1, 3), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+@example(n=32, cin=3, cout=4, h=8, k=5, s=2, p=2)
+@example(n=1, cin=2, cout=3, h=5, k=1, s=1, p=0)  # pointwise: the patches are the input itself
+def test_conv_backward_with_and_without_the_forward_patches_agree(n, cin, cout, h, k, s, p):
+    # autodiff drops the forward's patches and conv2d_backward rebuilds them;
+    # a caller that still holds them may pass them as col: the same bits either way
+    ho = conv_out_dim(h, k, s, p)
+    if ho < 1:
+        return
+    r = _example_rng(n, cin, cout, h, k, s, p)
+    x, w = r.standard_normal((cin, h, h, n)), r.standard_normal((cout, cin, k, k))
+    gy = r.standard_normal((cout, ho, ho, n))
+    col = kernels.conv2d_forward_cached(x, w, None, s, p)[1]
+    for input_grad in (True, False):
+        kept = kernels.conv2d_backward(x, w, gy, s, p, col=col, input_grad=input_grad)
+        rebuilt = kernels.conv2d_backward(x, w, gy, s, p, input_grad=input_grad)
+        assert (kept[0] is None) == (rebuilt[0] is None) == (not input_grad)
+        for a, b in zip(kept, rebuilt):
+            assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("k, p", [(1, 1), (2, 3), (3, 3)])
 def test_dense_weight_gradients_match_oracle_at_batch_one(k, s, p):
